@@ -441,7 +441,6 @@ fn merge_main(args: &[String]) -> ExitCode {
 fn bench_main(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut repeats = 3u32;
-    let mut jobs = 1usize;
     let mut out_path: Option<PathBuf> = None;
     let mut check_path: Option<PathBuf> = None;
     let mut compare_out: Option<PathBuf> = None;
@@ -461,17 +460,6 @@ fn bench_main(args: &[String]) -> ExitCode {
                 Some(r) => repeats = r,
                 None => {
                     eprintln!("--repeat requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(0) => {
-                    eprintln!("--jobs must be at least 1 (got 0)");
-                    return ExitCode::FAILURE;
-                }
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("--jobs requires a positive integer");
                     return ExitCode::FAILURE;
                 }
             },
@@ -538,7 +526,7 @@ fn bench_main(args: &[String]) -> ExitCode {
         None => None,
     };
 
-    let report = match bmhive_bench::harness::run_bench_jobs(&experiments, seed, repeats, jobs) {
+    let report = match bmhive_bench::harness::run_bench(&experiments, seed, repeats) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("{e}");
@@ -547,7 +535,7 @@ fn bench_main(args: &[String]) -> ExitCode {
     };
 
     println!(
-        "{:<10} | {:>12} | {:>10} | {:>14} | {:>12} | {:>10} | {:>12} | {:>9} | {:>4} | {:>7}",
+        "{:<10} | {:>12} | {:>10} | {:>14} | {:>12} | {:>10} | {:>12} | {:>9}",
         "experiment",
         "wall ms",
         "events",
@@ -555,13 +543,11 @@ fn bench_main(args: &[String]) -> ExitCode {
         "allocs/ev",
         "peak depth",
         "suppressed",
-        "batch len",
-        "jobs",
-        "speedup"
+        "batch len"
     );
     for r in &report.results {
         println!(
-            "{:<10} | {:>12.3} | {:>10} | {:>14.0} | {:>12.4} | {:>10.1} | {:>12} | {:>9.2} | {:>4} | {:>7.2}",
+            "{:<10} | {:>12.3} | {:>10} | {:>14.0} | {:>12.4} | {:>10.1} | {:>12} | {:>9.2}",
             r.experiment,
             r.wall_ns as f64 / 1e6,
             r.events,
@@ -569,9 +555,7 @@ fn bench_main(args: &[String]) -> ExitCode {
             r.allocs_per_event,
             r.peak_queue_depth,
             r.doorbells_suppressed,
-            r.mean_batch_len,
-            r.jobs,
-            r.parallel_speedup
+            r.mean_batch_len
         );
     }
     println!(
@@ -730,15 +714,12 @@ fn print_merge_help() {
 fn print_bench_help() {
     println!("repro bench — time each experiment and track the benchmark trajectory");
     println!();
-    println!("USAGE: repro bench [--seed N] [--repeat R] [--jobs N] [--out FILE] [--check FILE] [--compare-out FILE] [--tolerance F] [experiment ...]");
+    println!("USAGE: repro bench [--seed N] [--repeat R] [--out FILE] [--check FILE] [--compare-out FILE] [--tolerance F] [experiment ...]");
     println!();
     println!("  --seed N        seed for every experiment (default 1)");
     println!(
         "  --repeat R      untraced timing runs per experiment; the minimum is kept (default 3)"
     );
-    println!("  --jobs N        also time host-sharded experiments (fleet_scale, region_census)");
-    println!("                  at N workers and record the parallel speedup vs 1 worker;");
-    println!("                  wall/events columns always report the 1-worker run (default 1)");
     println!("  --out FILE      write the report as JSON (e.g. BENCH_results.json)");
     println!("  --check FILE    compare against a baseline report; per-experiment wall times are");
     println!(

@@ -56,14 +56,6 @@ pub struct ExperimentBench {
     /// (`sim.batch_events / sim.batch_ticks`; 0 for experiments that
     /// don't run a batched loop). Deterministic per binary + seed.
     pub mean_batch_len: f64,
-    /// Worker-pool width of the parallel timing pass (1 when the
-    /// harness ran serial-only or the experiment is not host-sharded).
-    pub jobs: u32,
-    /// Wall-time speedup of the parallel pass over the serial one
-    /// (`wall_ns / parallel wall_ns`; 0 when no parallel pass ran).
-    /// Output bytes are identical at every width, so this is the same
-    /// factor by which events/sec improves.
-    pub parallel_speedup: f64,
 }
 
 /// A full benchmark run.
@@ -79,23 +71,8 @@ pub struct BenchReport {
 
 /// Runs the harness over `experiments` (each id must be in
 /// [`crate::EXPERIMENT_IDS`]). Telemetry on the calling thread is
-/// enabled/reset around the traced runs and left disabled. Equivalent
-/// to [`run_bench_jobs`] with a single worker (no parallel pass).
+/// enabled/reset around the traced runs and left disabled.
 pub fn run_bench(experiments: &[String], seed: u64, repeats: u32) -> Result<BenchReport, String> {
-    run_bench_jobs(experiments, seed, repeats, 1)
-}
-
-/// Runs the harness over `experiments`, additionally timing the
-/// host-sharded ones ([`crate::PARALLEL_EXPERIMENT_IDS`]) at `jobs`
-/// workers when `jobs > 1`. The serial pass always supplies `wall_ns`
-/// (so baselines stay machine-comparable); the parallel pass only
-/// feeds `parallel_speedup`.
-pub fn run_bench_jobs(
-    experiments: &[String],
-    seed: u64,
-    repeats: u32,
-    jobs: usize,
-) -> Result<BenchReport, String> {
     for id in experiments {
         if !crate::EXPERIMENT_IDS.contains(&id.as_str()) {
             return Err(format!(
@@ -110,35 +87,14 @@ pub fn run_bench_jobs(
     for id in experiments {
         // Timing runs: untraced, so the telemetry fast path stays a
         // thread-local flag check and the numbers reflect the
-        // simulator, not the collector. Always serial — wall_ns is the
-        // machine-comparable baseline number.
+        // simulator, not the collector.
         telemetry::set_enabled(false);
-        crate::par::set_jobs(1);
         let mut wall_ns = u64::MAX;
         for _ in 0..repeats {
             let start = Instant::now();
             let _ = crate::run_experiment(id, seed).expect("validated above");
             let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             wall_ns = wall_ns.min(elapsed);
-        }
-        // The parallel pass: same experiment, same seed, `jobs`
-        // workers. Output bytes are identical by construction, so the
-        // only thing this pass contributes is its wall clock.
-        let parallel = jobs > 1 && crate::PARALLEL_EXPERIMENT_IDS.contains(&id.as_str());
-        let mut parallel_speedup = 0.0;
-        if parallel {
-            crate::par::set_jobs(jobs);
-            let mut par_wall_ns = u64::MAX;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let _ = crate::run_experiment(id, seed).expect("validated above");
-                let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                par_wall_ns = par_wall_ns.min(elapsed);
-            }
-            crate::par::set_jobs(1);
-            if par_wall_ns > 0 {
-                parallel_speedup = wall_ns as f64 / par_wall_ns as f64;
-            }
         }
         // One more untraced run, now warm, metered for allocation
         // count. Untraced so the collector's own buffers don't pollute
@@ -193,8 +149,6 @@ pub fn run_bench_jobs(
             },
             doorbells_suppressed,
             mean_batch_len,
-            jobs: if parallel { jobs as u32 } else { 1 },
-            parallel_speedup,
         });
     }
     Ok(BenchReport {
@@ -225,8 +179,7 @@ impl BenchReport {
                 "    {{\"experiment\": \"{}\", \"wall_ns\": {}, \"events\": {}, \
                  \"events_per_sec\": {:.1}, \"peak_queue_depth\": {:.1}, \
                  \"allocs\": {}, \"allocs_per_event\": {:.4}, \
-                 \"doorbells_suppressed\": {}, \"mean_batch_len\": {:.4}, \
-                 \"jobs\": {}, \"parallel_speedup\": {:.2}}}{comma}",
+                 \"doorbells_suppressed\": {}, \"mean_batch_len\": {:.4}}}{comma}",
                 telemetry::export::json_escape(&r.experiment),
                 r.wall_ns,
                 r.events,
@@ -236,8 +189,6 @@ impl BenchReport {
                 r.allocs_per_event,
                 r.doorbells_suppressed,
                 r.mean_batch_len,
-                r.jobs,
-                r.parallel_speedup,
             )
             .unwrap();
         }
@@ -286,13 +237,6 @@ impl BenchReport {
                     .unwrap_or(0.0) as u64,
                 mean_batch_len: entry
                     .get("mean_batch_len")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-                // Absent in pre-parallelism baselines: default to a
-                // serial run with no recorded speedup.
-                jobs: entry.get("jobs").and_then(Json::as_f64).unwrap_or(1.0) as u32,
-                parallel_speedup: entry
-                    .get("parallel_speedup")
                     .and_then(Json::as_f64)
                     .unwrap_or(0.0),
             });
@@ -545,8 +489,6 @@ mod tests {
                     allocs_per_event: 100.0,
                     doorbells_suppressed: 50,
                     mean_batch_len: 4.0,
-                    jobs: 1,
-                    parallel_speedup: 0.0,
                 })
                 .collect(),
         }

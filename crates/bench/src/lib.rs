@@ -27,15 +27,7 @@ use bmhive_workloads::{
 };
 
 /// Renders Table 1: the qualitative three-service comparison.
-pub fn table1() -> String {
-    let mut out = String::new();
-    table1_into(&mut out);
-    out
-}
-
-/// Renders Table 1 into a caller-provided buffer. With a warmed
-/// (pre-sized) buffer the render itself performs no allocations.
-pub fn table1_into(out: &mut String) {
+fn table1(_seed: u64, out: &mut String) {
     writeln!(out, "Table 1. Comparison of three cloud services").unwrap();
     writeln!(
         out,
@@ -57,9 +49,8 @@ pub fn table1_into(out: &mut String) {
 
 /// Renders Table 2: the VM-exit census over a synthetic 300 000-VM
 /// fleet.
-pub fn table2(seed: u64) -> String {
+fn table2(seed: u64, out: &mut String) {
     let census = ExitCensus::run(300_000, &[10_000.0, 50_000.0, 100_000.0], seed);
-    let mut out = String::new();
     writeln!(
         out,
         "Table 2. Number of VM exits per second per vCPU ({} VMs, 5-minute census)",
@@ -83,14 +74,12 @@ pub fn table2(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 1: preemption percentiles for 20 000 shared + 20 000
 /// exclusive VMs over 24 hours.
-pub fn fig1(seed: u64) -> String {
+fn fig1(seed: u64, out: &mut String) {
     let study = PreemptionStudy::run(20_000, seed);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 1. VM preemption by the hypervisor/host (percent of CPU time)"
@@ -124,19 +113,10 @@ pub fn fig1(seed: u64) -> String {
         avg(&study.exclusive_p999)
     )
     .unwrap();
-    out
 }
 
 /// Renders Table 3: the instance catalog and per-server board limits.
-pub fn table3() -> String {
-    let mut out = String::new();
-    table3_into(&mut out);
-    out
-}
-
-/// Renders Table 3 into a caller-provided buffer (allocation-free once
-/// the buffer is warmed).
-pub fn table3_into(out: &mut String) {
+fn table3(_seed: u64, out: &mut String) {
     let constraints = ServerConstraints::production();
     writeln!(
         out,
@@ -171,9 +151,8 @@ pub fn table3_into(out: &mut String) {
 }
 
 /// Renders Fig. 7: SPEC CINT2006 relative performance.
-pub fn fig7() -> String {
+fn fig7(_seed: u64, out: &mut String) {
     let result = spec::run_spec();
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 7. SPEC CINT2006, normalised to the physical machine (=1.000)"
@@ -194,13 +173,11 @@ pub fn fig7() -> String {
         "geomean", result.bm_geomean, result.vm_geomean
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 8: STREAM bandwidth.
-pub fn fig8() -> String {
+fn fig8(_seed: u64, out: &mut String) {
     let rows = stream::run_stream();
-    let mut out = String::new();
     writeln!(out, "Fig. 8. STREAM (200M elements, 16 threads), GB/s").unwrap();
     writeln!(
         out,
@@ -221,11 +198,10 @@ pub fn fig8() -> String {
         "(paper: bm == physical at the channel limit; vm ~ 98% of bm under load)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 9: UDP packet rates.
-pub fn fig9(seed: u64) -> String {
+fn fig9(seed: u64, out: &mut String) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = netperf::udp_pps(&mut bm, 20);
@@ -236,7 +212,6 @@ pub fn fig9(seed: u64) -> String {
     let mut vm_tp = GuestEnv::vm(seed + 2);
     let bm_gbps = netperf::tcp_throughput(&mut bm_tp);
     let vm_gbps = netperf::tcp_throughput(&mut vm_tp);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 9. UDP packet receive rate (small packets, 4M PPS cap)"
@@ -276,12 +251,10 @@ pub fn fig9(seed: u64) -> String {
         bm_gbps, vm_gbps
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 10: UDP and ping latency.
-pub fn fig10(seed: u64) -> String {
-    let mut out = String::new();
+fn fig10(seed: u64, out: &mut String) {
     writeln!(out, "Fig. 10. 64B round-trip latency, microseconds").unwrap();
     writeln!(
         out,
@@ -309,12 +282,10 @@ pub fn fig10(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 11: storage latency.
-pub fn fig11(seed: u64) -> String {
-    let mut out = String::new();
+fn fig11(seed: u64, out: &mut String) {
     writeln!(
         out,
         "Fig. 11. Storage I/O latency (fio, 8 threads, 4KB, 25K IOPS cap), microseconds"
@@ -378,16 +349,14 @@ pub fn fig11(seed: u64) -> String {
         "(paper: bm 60us average; +50% IOPS and +100% bandwidth over vm)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 12: NGINX.
-pub fn fig12(seed: u64) -> String {
+fn fig12(seed: u64, out: &mut String) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = nginx::run_nginx(&mut bm, &nginx::CLIENT_SWEEP);
     let vm_run = nginx::run_nginx(&mut vm, &nginx::CLIENT_SWEEP);
-    let mut out = String::new();
     writeln!(out, "Fig. 12. NGINX requests/second (ab, KeepAlive off)").unwrap();
     writeln!(
         out,
@@ -427,16 +396,14 @@ pub fn fig12(seed: u64) -> String {
         "(paper: bm serves 50-60% more RPS; ~30% shorter response time)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 13: MariaDB read-only.
-pub fn fig13(seed: u64) -> String {
+fn fig13(seed: u64, out: &mut String) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = mariadb::run_mariadb(&mut bm, mariadb::QueryMix::ReadOnly);
     let vm_run = mariadb::run_mariadb(&mut vm, mariadb::QueryMix::ReadOnly);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 13. MariaDB read-only (sysbench, 16 tables x 1M rows, 128 threads)"
@@ -450,12 +417,10 @@ pub fn fig13(seed: u64) -> String {
         (bm_run.qps / vm_run.qps - 1.0) * 100.0
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 14: MariaDB write-only and read/write.
-pub fn fig14(seed: u64) -> String {
-    let mut out = String::new();
+fn fig14(seed: u64, out: &mut String) {
     writeln!(out, "Fig. 14. MariaDB write-only and read/write mixed").unwrap();
     for (mix, paper) in [
         (mariadb::QueryMix::WriteOnly, "+42%"),
@@ -475,16 +440,14 @@ pub fn fig14(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 15: Redis versus client count.
-pub fn fig15(seed: u64) -> String {
+fn fig15(seed: u64, out: &mut String) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_s = redis::run_redis_clients(&mut bm, &redis::CLIENT_SWEEP, 64);
     let vm_s = redis::run_redis_clients(&mut vm, &redis::CLIENT_SWEEP, 64);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 15. Redis requests/second vs clients (64B values)"
@@ -508,16 +471,14 @@ pub fn fig15(seed: u64) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: bm 20-40% better)").unwrap();
-    out
 }
 
 /// Renders Fig. 16: Redis versus value size, with stability.
-pub fn fig16(seed: u64) -> String {
+fn fig16(seed: u64, out: &mut String) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_runs = redis::run_redis_sizes(&mut bm, &redis::SIZE_SWEEP, 20);
     let vm_runs = redis::run_redis_sizes(&mut vm, &redis::SIZE_SWEEP, 20);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 16. Redis requests/second vs value size (4000 clients)"
@@ -549,19 +510,10 @@ pub fn fig16(seed: u64) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: bm higher and stable; vm fluctuates)").unwrap();
-    out
 }
 
 /// Renders the §3.5 cost-efficiency analysis.
-pub fn cost() -> String {
-    let mut out = String::new();
-    cost_into(&mut out);
-    out
-}
-
-/// Renders the cost analysis into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn cost_into(out: &mut String) {
+fn cost(_seed: u64, out: &mut String) {
     let model = CostModel::paper();
     writeln!(out, "§3.5 Cost efficiency").unwrap();
     writeln!(
@@ -596,15 +548,7 @@ pub fn cost_into(out: &mut String) {
 }
 
 /// Renders the §2.3 nested-virtualization comparison.
-pub fn nested() -> String {
-    let mut out = String::new();
-    nested_into(&mut out);
-    out
-}
-
-/// Renders the nested-virtualization comparison into a caller-provided
-/// buffer (allocation-free once the buffer is warmed).
-pub fn nested_into(out: &mut String) {
+fn nested(_seed: u64, out: &mut String) {
     let model = NestedVirtModel::kvm_on_kvm();
     writeln!(
         out,
@@ -634,14 +578,7 @@ pub fn nested_into(out: &mut String) {
 
 /// Renders the §3.4.3 IO-Bond microbenchmarks and the Fig. 6 step
 /// budget.
-pub fn iobond() -> String {
-    let mut out = String::new();
-    iobond_into(&mut out);
-    out
-}
-
-/// Renders the IO-Bond microbenchmarks into a caller-provided buffer.
-pub fn iobond_into(out: &mut String) {
+fn iobond(_seed: u64, out: &mut String) {
     let profile = IoBondProfile::fpga();
     writeln!(out, "§3.4.3 IO-Bond microbenchmarks (FPGA profile)").unwrap();
     writeln!(
@@ -699,15 +636,7 @@ pub fn iobond_into(out: &mut String) {
 }
 
 /// Renders the §6 ASIC projection ablation.
-pub fn asic() -> String {
-    let mut out = String::new();
-    asic_into(&mut out);
-    out
-}
-
-/// Renders the ASIC projection into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn asic_into(out: &mut String) {
+fn asic(_seed: u64, out: &mut String) {
     let fpga = IoBondProfile::fpga();
     let asic = IoBondProfile::asic();
     writeln!(out, "§6 ASIC projection (ablation)").unwrap();
@@ -750,15 +679,7 @@ pub fn asic_into(out: &mut String) {
 
 /// Renders the §6 IO-Bond offload plan and the §3.4.2 slow-path
 /// comparison (ablations).
-pub fn offload() -> String {
-    let mut out = String::new();
-    offload_into(&mut out);
-    out
-}
-
-/// Renders the offload/slow-path ablation into a caller-provided
-/// buffer (allocation-free once the buffer is warmed).
-pub fn offload_into(out: &mut String) {
+fn offload(_seed: u64, out: &mut String) {
     use bmhive_hypervisor::NetBackendPath;
     use bmhive_iobond::OffloadConfig;
     writeln!(out, "§6 IO-Bond packet-processing offload (ablation)").unwrap();
@@ -815,15 +736,7 @@ pub fn offload_into(out: &mut String) {
 }
 
 /// Renders the §6 SGX comparison.
-pub fn sgx() -> String {
-    let mut out = String::new();
-    sgx_into(&mut out);
-    out
-}
-
-/// Renders the SGX comparison into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn sgx_into(out: &mut String) {
+fn sgx(_seed: u64, out: &mut String) {
     use bmhive_cpu::catalog::XEON_E5_2682_V4;
     use bmhive_cpu::sgx::{EnclaveWorkload, SgxModel, SgxSupport};
     use bmhive_cpu::Platform;
@@ -875,13 +788,12 @@ pub fn sgx_into(out: &mut String) {
 
 /// Renders the §1/§2.1 motivation workload: high-frequency trading
 /// order-to-wire tails.
-pub fn trading(seed: u64) -> String {
+fn trading(seed: u64, out: &mut String) {
     use bmhive_workloads::trading::{run_trading, FILL_BUDGET};
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = run_trading(&mut bm, 100_000);
     let vm_run = run_trading(&mut vm, 100_000);
-    let mut out = String::new();
     writeln!(
         out,
         "§1/§2.1 motivation: high-frequency trading (100K ticks, {} fill budget)",
@@ -911,7 +823,6 @@ pub fn trading(seed: u64) -> String {
         "(paper: preemption 'can cause real problems for demanding services, such as high-frequency stock trading')"
     )
     .unwrap();
-    out
 }
 
 /// Renders the fault-injection & recovery experiment: one bm-guest
@@ -920,8 +831,10 @@ pub fn trading(seed: u64) -> String {
 /// [`bmhive_faults`] plan (if any) injects faults and the recovery
 /// paths absorb them. With no plan armed it renders the clean
 /// baseline; the canned plans' windows (200–950 µs) all land inside
-/// the driven horizon.
-pub fn faults(seed: u64) -> String {
+/// the driven horizon. An op whose fault escalates past recovery is an
+/// outcome, not a panic: it is counted, the loop moves on, and a
+/// `failed ops N` line reports the count when it is nonzero.
+fn faults(seed: u64, out: &mut String) {
     use bmhive_cloud::blockstore::{BlockStore, StorageClass};
     use bmhive_cloud::limits::InstanceLimits;
     use bmhive_cloud::vswitch::{Forwarded, PortId, VSwitch};
@@ -930,7 +843,6 @@ pub fn faults(seed: u64) -> String {
     use bmhive_sim::{Histogram, SimDuration, SimTime};
     use bmhive_virtio::BlkRequestType;
 
-    let mut out = String::new();
     writeln!(
         out,
         "Fault injection: bm-guest I/O under plan '{}'",
@@ -955,32 +867,45 @@ pub fn faults(seed: u64) -> String {
     let mut board_resets = 0u64;
     let mut replayed = 0u64;
     let mut switch_shed = 0u64;
+    // An op whose fault escalated past recovery: counted, and the
+    // bounded loop moves on to the next op.
+    let mut failed_ops = 0u64;
     for i in 0..150u64 {
-        if let Some(outage) = session.poll_faults(t).expect("board recovery") {
-            board_resets += 1;
-            replayed += outage.replayed_chains;
-            t = outage.recovered_at;
+        match session.poll_faults(t) {
+            Ok(Some(outage)) => {
+                board_resets += 1;
+                replayed += outage.replayed_chains;
+                t = outage.recovered_at;
+            }
+            Ok(None) => {}
+            Err(_) => failed_ops += 1,
         }
         // One MMIO status poll per round rides the guest PCIe link —
         // where link flaps and hop-latency spikes strike.
         t += session.profile().guest_link().register_access_at(t);
-        let (egress, timing) = session
-            .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"fault-probe", t)
-            .expect("net send");
-        if matches!(sw.forward(&egress.packet, egress.at), Forwarded::Dropped) {
-            switch_shed += 1;
+        match session.net_send(MacAddr::for_guest(2), PacketKind::Udp, b"fault-probe", t) {
+            Ok((egress, timing)) => {
+                if matches!(sw.forward(&egress.packet, egress.at), Forwarded::Dropped) {
+                    switch_shed += 1;
+                }
+                lat.record_duration(timing.latency());
+                t = timing.completed;
+            }
+            Err(_) => failed_ops += 1,
         }
-        lat.record_duration(timing.latency());
-        t = timing.completed;
-        let (_, timing) = session.net_receive(b"pong", t).expect("net receive");
-        t = timing.completed;
-        if i % 5 == 0 {
-            // Issued async: the guest never blocks on the ~150 µs
-            // store latency, so the poll cadence stays dense enough
-            // that every canned fault window gets hit.
-            session
+        match session.net_receive(b"pong", t) {
+            Ok((_, timing)) => t = timing.completed,
+            Err(_) => failed_ops += 1,
+        }
+        // Issued async: the guest never blocks on the ~150 µs store
+        // latency, so the poll cadence stays dense enough that every
+        // canned fault window gets hit.
+        if i % 5 == 0
+            && session
                 .blk_request(&mut store, BlkRequestType::In, i * 8, &[], 4096, t)
-                .expect("blk read");
+                .is_err()
+        {
+            failed_ops += 1;
         }
         t += think;
     }
@@ -1004,6 +929,9 @@ pub fn faults(seed: u64) -> String {
         "virtual horizon {t}; vswitch shed {switch_shed}; board resets {board_resets}; chains replayed {replayed}"
     )
     .unwrap();
+    if failed_ops > 0 {
+        writeln!(out, "failed ops {failed_ops}").unwrap();
+    }
     match bmhive_faults::stats() {
         Some(stats) => {
             writeln!(out, "-- fault engine --").unwrap();
@@ -1011,7 +939,6 @@ pub fn faults(seed: u64) -> String {
         }
         None => writeln!(out, "fault engine: disarmed (clean run)").unwrap(),
     }
-    out
 }
 
 /// Renders the open-loop traffic policy comparison: one pool of
@@ -1021,7 +948,7 @@ pub fn faults(seed: u64) -> String {
 /// closed form (`bmhive_workloads::openloop`) at low load, where the
 /// synchronized-pair model is exact, and a bursty MMPP coda shows why
 /// depth-aware placement earns its probes.
-pub fn traffic_policies(seed: u64) -> String {
+fn traffic_policies(seed: u64, out: &mut String) {
     use bmhive_sim::SimDuration;
     use bmhive_traffic::{ArrivalModel, DispatchMode, Policy, TrafficConfig};
     use bmhive_workloads::openloop::{ps_cloned_mean_response, ServiceTime};
@@ -1045,7 +972,6 @@ pub fn traffic_policies(seed: u64) -> String {
         },
     ];
 
-    let mut out = String::new();
     writeln!(
         out,
         "Open-loop traffic: {GUESTS} bm-guests, Poisson arrivals, exp({}) service, {REQUESTS} requests/cell",
@@ -1129,7 +1055,6 @@ pub fn traffic_policies(seed: u64) -> String {
         po2.latency.percentile(99.9),
     )
     .unwrap();
-    out
 }
 
 /// Renders the traffic isolation experiment: a board power-loss (the
@@ -1138,7 +1063,7 @@ pub fn traffic_policies(seed: u64) -> String {
 /// keeps arriving. Gates: the neighbours' p99 must not move (the §3
 /// isolation claim — one tenant's board dying is invisible to the
 /// others), and hedging must cut the victim's fault-window tail.
-pub fn traffic_isolation(seed: u64) -> String {
+fn traffic_isolation(seed: u64, out: &mut String) {
     use bmhive_sim::{SimDuration, SimTime};
     use bmhive_traffic::{ArrivalModel, DispatchMode, Outage, Policy, TrafficConfig};
     use bmhive_workloads::openloop::ServiceTime;
@@ -1178,7 +1103,6 @@ pub fn traffic_isolation(seed: u64) -> String {
     let faulted = bmhive_traffic::run(&base(rr, Some(outage)), seed);
     let hedged = bmhive_traffic::run(&base(hedge, Some(outage)), seed);
 
-    let mut out = String::new();
     writeln!(
         out,
         "Traffic isolation: board power-loss on guest 0 (plan '{}' x{SCALE}: at {} for {})",
@@ -1241,7 +1165,6 @@ pub fn traffic_isolation(seed: u64) -> String {
         if hedged_tail < unhedged_tail { "PASS" } else { "FAIL" }
     )
     .unwrap();
-    out
 }
 
 /// Renders the fleet-scale study: the §2 exit-rate census run as a
@@ -1260,7 +1183,7 @@ pub fn traffic_isolation(seed: u64) -> String {
 /// `#[global_allocator]` — the `repro` binary installs it. The metered
 /// closures are deliberately telemetry-free so the printed byte counts
 /// are deterministic.
-pub fn fleet_scale(seed: u64) -> String {
+fn fleet_scale(seed: u64, out: &mut String) {
     const THRESHOLDS: [f64; 3] = [10_000.0, 50_000.0, 100_000.0];
     const GUESTS_PER_HOST: u64 = 10_000;
     const HOST_SCALES: [usize; 3] = [1, 10, 100];
@@ -1335,7 +1258,6 @@ pub fn fleet_scale(seed: u64) -> String {
         runs.push((hosts as u64 * GUESTS_PER_HOST, hosts, census, worst_peak));
     }
 
-    let mut out = String::new();
     writeln!(
         out,
         "Fleet scale: host-sharded streaming exit-rate census, {}..{} guests ({} guests/host, seed {seed})",
@@ -1475,7 +1397,6 @@ pub fn fleet_scale(seed: u64) -> String {
         }
     )
     .unwrap();
-    out
 }
 
 /// Base RNG stream selector for region guest exit-rate draws (distinct
@@ -1494,7 +1415,7 @@ const REGION_OPS_STREAM: u64 = 0x09b5;
 /// the on-ramp to the ROADMAP region-scale scenario: per-host work is
 /// a pure function of the host index, so the report is byte-identical
 /// at every `--jobs` width.
-pub fn region_census(seed: u64) -> String {
+fn region_census(seed: u64, out: &mut String) {
     const HOSTS: usize = 200;
     const GUESTS_PER_HOST: u64 = 480;
     const THRESHOLDS: [f64; 3] = [10_000.0, 50_000.0, 100_000.0];
@@ -1514,7 +1435,6 @@ pub fn region_census(seed: u64) -> String {
         region.merge(day);
     }
 
-    let mut out = String::new();
     writeln!(
         out,
         "Region census: {HOSTS} hosts x {GUESTS_PER_HOST} guests/host, 24 h diurnal churn (seed {seed})"
@@ -1579,45 +1499,52 @@ pub fn region_census(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
-/// Every experiment in paper order: `(id, rendered output)`.
-/// Every experiment id, in the paper's presentation order.
-pub const EXPERIMENT_IDS: [&str; 26] = [
-    "table1",
-    "table2",
-    "fig1",
-    "table3",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "cost",
-    "nested",
-    "iobond",
-    "asic",
-    "offload",
-    "sgx",
-    "trading",
-    "faults",
-    "traffic_policies",
-    "traffic_isolation",
-    "fleet_scale",
-    "region_census",
+/// An experiment renderer: appends the report for `seed` to `out`.
+/// Seed-free experiments ignore `seed`.
+type Render = fn(u64, &mut String);
+
+/// The one id → renderer table, in the paper's presentation order.
+const EXPERIMENTS: [(&str, Render); 26] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1", fig1),
+    ("table3", table3),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("cost", cost),
+    ("nested", nested),
+    ("iobond", iobond),
+    ("asic", asic),
+    ("offload", offload),
+    ("sgx", sgx),
+    ("trading", trading),
+    ("faults", faults),
+    ("traffic_policies", traffic_policies),
+    ("traffic_isolation", traffic_isolation),
+    ("fleet_scale", fleet_scale),
+    ("region_census", region_census),
 ];
 
-/// Experiments whose inner work fans out across [`par::run_hosts`] —
-/// the ones `--jobs N` accelerates (with byte-identical output). The
-/// CLI and bench harness consult this list to decide where a parallel
-/// timing pass is meaningful.
-pub const PARALLEL_EXPERIMENT_IDS: [&str; 2] = ["fleet_scale", "region_census"];
+/// Every experiment id, in the paper's presentation order.
+pub const EXPERIMENT_IDS: [&str; 26] = {
+    let mut ids = [""; 26];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Runs one experiment by id. Returns `None` for unknown ids.
 ///
@@ -1625,79 +1552,38 @@ pub const PARALLEL_EXPERIMENT_IDS: [&str; 2] = ["fleet_scale", "region_census"];
 /// captures a telemetry trace of *that* experiment alone rather than
 /// of the whole suite.
 pub fn run_experiment(id: &str, seed: u64) -> Option<String> {
-    Some(match id {
-        "table1" => table1(),
-        "table2" => table2(seed),
-        "fig1" => fig1(seed),
-        "table3" => table3(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(seed),
-        "fig10" => fig10(seed),
-        "fig11" => fig11(seed),
-        "fig12" => fig12(seed),
-        "fig13" => fig13(seed),
-        "fig14" => fig14(seed),
-        "fig15" => fig15(seed),
-        "fig16" => fig16(seed),
-        "cost" => cost(),
-        "nested" => nested(),
-        "iobond" => iobond(),
-        "asic" => asic(),
-        "offload" => offload(),
-        "sgx" => sgx(),
-        "trading" => trading(seed),
-        "faults" => faults(seed),
-        "traffic_policies" => traffic_policies(seed),
-        "traffic_isolation" => traffic_isolation(seed),
-        "fleet_scale" => fleet_scale(seed),
-        "region_census" => region_census(seed),
-        _ => return None,
-    })
+    let mut out = String::new();
+    run_experiment_into(id, seed, &mut out).then_some(out)
 }
 
-/// Runs one experiment by id, rendering into a caller-provided buffer.
-/// Returns `false` for unknown ids (the buffer is left untouched).
+/// Runs one experiment by id, appending its report to `out`. Returns
+/// `false` for unknown ids (the buffer is left untouched).
 ///
-/// The one-shot, seed-free experiments render straight into `out`
-/// with no intermediate `String`, so a warmed buffer (rendered once,
-/// then cleared — `clear` keeps capacity) makes the re-render
-/// allocation-free. That is what the bench harness meters for
-/// `allocs_per_event`: steady-state allocations, not buffer growth.
-/// Seeded experiments fall back to [`run_experiment`] and append.
+/// A warmed buffer (rendered once, then cleared — `clear` keeps
+/// capacity) keeps report growth out of an allocation count, which is
+/// what the bench harness meters for `allocs_per_event`.
 pub fn run_experiment_into(id: &str, seed: u64, out: &mut String) -> bool {
-    match id {
-        "table1" => table1_into(out),
-        "table3" => table3_into(out),
-        "cost" => cost_into(out),
-        "nested" => nested_into(out),
-        "iobond" => iobond_into(out),
-        "asic" => asic_into(out),
-        "offload" => offload_into(out),
-        "sgx" => sgx_into(out),
-        _ => match run_experiment(id, seed) {
-            Some(text) => out.push_str(&text),
-            None => return false,
-        },
+    match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+        Some((_, render)) => {
+            render(seed, out);
+            true
+        }
+        None => false,
     }
-    true
-}
-
-/// Runs every experiment (in order), rendering each.
-pub fn all_experiments(seed: u64) -> Vec<(&'static str, String)> {
-    EXPERIMENT_IDS
-        .iter()
-        .map(|id| (*id, run_experiment(id, seed).expect("known id")))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn render(id: &str, seed: u64) -> String {
+        run_experiment(id, seed).expect("known id")
+    }
+
     #[test]
     fn every_experiment_renders_nonempty() {
-        for (id, text) in all_experiments(1) {
+        for id in EXPERIMENT_IDS {
+            let text = render(id, 1);
             assert!(!text.trim().is_empty(), "{id} rendered nothing");
             assert!(text.lines().count() >= 2, "{id} rendered too little");
         }
@@ -1705,21 +1591,28 @@ mod tests {
 
     #[test]
     fn experiments_are_deterministic_in_seed() {
-        assert_eq!(table2(5), table2(5));
-        assert_eq!(fig11(5), fig11(5));
-        assert_ne!(table2(5), table2(6));
+        assert_eq!(render("table2", 5), render("table2", 5));
+        assert_eq!(render("fig11", 5), render("fig11", 5));
+        assert_ne!(render("table2", 5), render("table2", 6));
     }
 
     #[test]
     fn experiment_ids_are_unique_and_cover_the_paper() {
-        let ids: Vec<&str> = all_experiments(1).into_iter().map(|(id, _)| id).collect();
-        let unique: std::collections::HashSet<&&str> = ids.iter().collect();
-        assert_eq!(unique.len(), ids.len());
+        let unique: std::collections::HashSet<&str> = EXPERIMENT_IDS.into_iter().collect();
+        assert_eq!(unique.len(), EXPERIMENT_IDS.len());
         for required in [
             "table1", "table2", "table3", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "fig15", "fig16", "cost", "nested", "iobond", "asic",
         ] {
-            assert!(ids.contains(&required), "missing {required}");
+            assert!(EXPERIMENT_IDS.contains(&required), "missing {required}");
         }
+    }
+
+    #[test]
+    fn unknown_id_renders_nothing() {
+        let mut out = String::from("kept");
+        assert!(!run_experiment_into("fig99", 1, &mut out));
+        assert_eq!(out, "kept");
+        assert!(run_experiment("fig99", 1).is_none());
     }
 }

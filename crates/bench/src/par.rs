@@ -45,7 +45,9 @@
 //!
 //! Byte-identity across `--jobs` values is structural, not tested-in:
 //! `--jobs 1` runs the *same* worker loop on a single pool thread, so
-//! there is no separate serial code path to drift.
+//! there is no separate serial code path to drift. [`map_ordered`] is
+//! the crate's only worker pool: [`run_hosts`] wraps it with the
+//! per-host state handling above, and the sweep runs its cells on it.
 //!
 //! [`Registry::merge_from`]: bmhive_telemetry::Registry::merge_from
 //! [`FaultStats`]: bmhive_faults::FaultStats
@@ -88,6 +90,48 @@ pub fn host_stream(base: u64, host: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Runs `f(i)` for every `i in 0..n` on a pool of `jobs` scoped worker
+/// threads (clamped to `1..=n`) and returns the results in index
+/// order.
+///
+/// Work is shared through an atomic next-index counter, so stragglers
+/// never idle a worker, and each result lands in its own preallocated
+/// slot, so completion order is irrelevant. `jobs = 1` runs the same
+/// worker loop on a single pool thread: every width executes
+/// byte-for-byte the same code, and the caller's thread-local state is
+/// never touched by `f`.
+pub fn map_ordered<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if n == 0 {
+        return Vec::new();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.clamp(1, n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(i);
+                *slots[i].lock().expect("slot poisoned") = Some(value);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot poisoned")
+                .expect("every index below n was claimed and ran")
+        })
+        .collect()
+}
+
 /// What a pool worker hands back for one host: the closure's value
 /// plus the thread-local state the orchestrator must fold in host
 /// order.
@@ -98,89 +142,62 @@ struct HostRun<T> {
 }
 
 /// Runs `f(host)` for every `host in 0..hosts` across this thread's
-/// configured worker pool ([`jobs`]) and returns the values in host
-/// order, having folded each host's telemetry and fault statistics
-/// into the orchestrating thread's collectors in host-index order.
+/// configured worker pool ([`jobs`]) via [`map_ordered`] and returns
+/// the values in host order, having folded each host's telemetry and
+/// fault statistics into the orchestrating thread's collectors in
+/// host-index order.
 ///
 /// `seed` feeds only the per-host fault-context backoff streams (via
 /// [`host_stream`]); the closure derives its own simulation streams
 /// from the host index.
-///
-/// Work is distributed by an atomic next-host counter — the same
-/// work-sharing shape as the sweep pool — so stragglers never idle a
-/// worker, and results land in preallocated per-host slots so
-/// completion order is irrelevant. Even `jobs = 1` runs the worker
-/// loop on a (single) pool thread: per-host state handling is
-/// byte-for-byte the same code at every width.
 pub fn run_hosts<T, F>(hosts: usize, seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if hosts == 0 {
-        return Vec::new();
-    }
-    let workers = jobs().clamp(1, hosts);
     let telemetry_on = telemetry::is_enabled();
     let plan = faults::armed_plan();
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<HostRun<T>>>> = (0..hosts).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                telemetry::set_enabled(telemetry_on);
-                loop {
-                    let host = next.fetch_add(1, Ordering::Relaxed);
-                    if host >= hosts {
-                        break;
-                    }
-                    if telemetry_on {
-                        telemetry::reset();
-                    }
-                    if let Some(plan) = &plan {
-                        faults::arm(plan.clone(), host_stream(seed, host));
-                    }
-                    let value = f(host);
-                    let fault_stats = if plan.is_some() {
-                        faults::disarm()
-                    } else {
-                        None
-                    };
-                    let telemetry = if telemetry_on {
-                        let snap = telemetry::snapshot();
-                        telemetry::reset();
-                        Some(snap)
-                    } else {
-                        None
-                    };
-                    *slots[host].lock().expect("host slot poisoned") = Some(HostRun {
-                        value,
-                        telemetry,
-                        fault_stats,
-                    });
-                }
-            });
+    let runs = map_ordered(hosts, jobs(), |host| {
+        telemetry::set_enabled(telemetry_on);
+        if telemetry_on {
+            telemetry::reset();
+        }
+        if let Some(plan) = &plan {
+            faults::arm(plan.clone(), host_stream(seed, host));
+        }
+        let value = f(host);
+        let fault_stats = if plan.is_some() {
+            faults::disarm()
+        } else {
+            None
+        };
+        let telemetry = if telemetry_on {
+            let snap = telemetry::snapshot();
+            telemetry::reset();
+            Some(snap)
+        } else {
+            None
+        };
+        HostRun {
+            value,
+            telemetry,
+            fault_stats,
         }
     });
 
     // Host-index-ordered fold on the orchestrating thread: the one
     // place float accumulation happens, pinned to a canonical order.
-    let mut values = Vec::with_capacity(hosts);
-    for slot in slots {
-        let run = slot
-            .into_inner()
-            .expect("host slot poisoned")
-            .expect("worker pool exited with an unfilled host slot");
-        if let Some(snap) = &run.telemetry {
-            telemetry::absorb(snap);
-        }
-        if let Some(stats) = &run.fault_stats {
-            faults::absorb_stats(stats);
-        }
-        values.push(run.value);
-    }
-    values
+    runs.into_iter()
+        .map(|run| {
+            if let Some(snap) = &run.telemetry {
+                telemetry::absorb(snap);
+            }
+            if let Some(stats) = &run.fault_stats {
+                faults::absorb_stats(stats);
+            }
+            run.value
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -210,6 +227,29 @@ mod tests {
         set_jobs(0);
         assert_eq!(jobs(), 1, "set_jobs clamps to at least 1");
         set_jobs(1);
+    }
+
+    #[test]
+    fn map_ordered_returns_results_in_index_order_at_any_width() {
+        let square = |i: usize| {
+            // Uneven work so completion order differs from index order.
+            std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 5) as u64 * 50));
+            i * i
+        };
+        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for width in [1, 2, 4, 8] {
+            assert_eq!(map_ordered(37, width, square), expected, "width {width}");
+        }
+    }
+
+    #[test]
+    fn map_ordered_handles_empty_and_narrow_inputs() {
+        assert!(map_ordered(0, 4, |i| i).is_empty());
+        assert!(map_ordered(0, 1, |i| i).is_empty());
+        // Fewer items than workers: the pool narrows to `n` threads.
+        assert_eq!(map_ordered(3, 8, |i| i + 10), vec![10, 11, 12]);
+        // A zero width is clamped to one worker, not an empty pool.
+        assert_eq!(map_ordered(2, 0, |i| i), vec![0, 1]);
     }
 
     #[test]

@@ -9,17 +9,15 @@
 //! per-thread collectors), a cell produces byte-identical output
 //! whether the sweep runs on one thread or sixteen.
 //!
-//! Parallelism is a work-sharing pool: workers pull the next cell
-//! index from a shared atomic counter and write the finished output
-//! into that cell's slot, so results always come back in the
-//! deterministic cell order no matter which worker ran what.
+//! Cells run on [`crate::par::map_ordered`], the crate's one
+//! work-sharing pool, so results always come back in the
+//! deterministic cell order no matter which worker ran what — and
+//! `--jobs 1` runs the same worker loop as `--jobs N`.
 
 use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The plan column for a cell that injects nothing.
@@ -41,7 +39,7 @@ pub struct SweepSpec {
     pub plans: Vec<Option<String>>,
     /// Record a per-cell telemetry trace (chrome trace_event JSON).
     pub trace: bool,
-    /// Worker threads; `0` and `1` both mean serial.
+    /// Worker threads; `0` and `1` both mean one pool worker.
     pub jobs: usize,
 }
 
@@ -281,7 +279,7 @@ pub fn resolve_plan(arg: &str) -> Result<faults::FaultPlan, SweepError> {
         .map_err(|e| SweepError::UnknownPlan(format!("cannot parse fault plan {arg}: {e}")))
 }
 
-/// Runs one cell on the calling thread.
+/// Runs one cell on the calling thread (a pool worker in a sweep).
 ///
 /// The calling thread's fault context and telemetry state are
 /// consumed/reset by the run: workers own their thread-local slots,
@@ -352,37 +350,11 @@ pub fn run_sweep_shard(
     }
     let plan_for = |cell: &SweepCell| cell.plan.as_deref().map(|n| &plans[n]);
 
-    let jobs = spec.jobs.clamp(1, cells.len().max(1));
-    if jobs <= 1 {
-        return Ok(cells
-            .iter()
-            .map(|(i, cell)| (*i, run_cell(cell, plan_for(cell), spec.trace)))
-            .collect());
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutput>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, cell)) = cells.get(i) else { break };
-                let out = run_cell(cell, plan_for(cell), spec.trace);
-                *slots[i].lock().expect("slot poisoned") = Some(out);
-            });
-        }
+    let outputs = crate::par::map_ordered(cells.len(), spec.jobs, |i| {
+        let cell = &cells[i].1;
+        run_cell(cell, plan_for(cell), spec.trace)
     });
-    Ok(cells
-        .iter()
-        .zip(slots)
-        .map(|((i, _), slot)| {
-            let out = slot
-                .into_inner()
-                .expect("slot poisoned")
-                .expect("every cell index below len was claimed and ran");
-            (*i, out)
-        })
-        .collect())
+    Ok(cells.iter().map(|(i, _)| *i).zip(outputs).collect())
 }
 
 /// Renders a cell for stdout — the banner, the report, and the fault
@@ -459,6 +431,21 @@ mod tests {
                 s.cell.label()
             );
         }
+    }
+
+    #[test]
+    fn serial_sweep_leaves_the_callers_collector_intact() {
+        telemetry::set_enabled(true);
+        telemetry::reset();
+        telemetry::counter("before", 3);
+        // A traced cell enables, resets and disables telemetry on the
+        // thread that runs it; at `jobs 1` that is a pool thread too.
+        let outs = run_sweep(&tiny_spec(1, true)).unwrap();
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        assert!(outs.iter().all(|o| o.trace_json.is_some()));
+        assert_eq!(snap.registry.counter("before"), 3);
     }
 
     #[test]

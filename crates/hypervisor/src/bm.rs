@@ -189,6 +189,14 @@ fn check_escalation(dev: &mut IoBondDevice, op: &'static str) -> Result<(), Sess
 }
 
 impl BmGuestSession {
+    /// The guest's interrupt handler: acknowledges every MSI the
+    /// devices raised during a service pass, so the delivery queues
+    /// stay bounded however many ops the session runs.
+    fn ack_interrupts(&mut self) {
+        self.net_dev.msi_mut().drain().for_each(drop);
+        self.blk_dev.msi_mut().drain().for_each(drop);
+    }
+
     /// Builds a powered-on, handshaken guest: queues of `queue_size`
     /// entries, a 64 MiB board arena for I/O buffers, production or
     /// unrestricted `limits`.
@@ -497,6 +505,7 @@ impl BmGuestSession {
             kicked,
             &mut self.svc_report,
         )?;
+        self.ack_interrupts();
         check_escalation(&mut self.net_dev, "net_send")?;
         let synced_at = self.svc_report.tx[TX_Q].done_at;
 
@@ -545,6 +554,7 @@ impl BmGuestSession {
             admitted,
             &mut self.svc_report,
         )?;
+        self.ack_interrupts();
         check_escalation(&mut self.net_dev, "net_send")?;
         let done = self
             .svc_report
@@ -626,6 +636,7 @@ impl BmGuestSession {
         // ring.
         self.net_dev
             .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
+        self.ack_interrupts();
         check_escalation(&mut self.net_dev, "net_receive")?;
         let chain = self
             .net_rx_backend
@@ -645,6 +656,7 @@ impl BmGuestSession {
         // IO-Bond copies back and interrupts the guest.
         self.net_dev
             .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
+        self.ack_interrupts();
         check_escalation(&mut self.net_dev, "net_receive")?;
         let done = self
             .svc_report
@@ -779,6 +791,7 @@ impl BmGuestSession {
             kicked,
             &mut self.svc_report,
         )?;
+        self.ack_interrupts();
         check_escalation(&mut self.blk_dev, "blk_request")?;
         let synced_at = self.svc_report.tx[0].done_at;
         let (poll_cost, poll_escalated) = self
@@ -812,6 +825,7 @@ impl BmGuestSession {
             io_done,
             &mut self.svc_report,
         )?;
+        self.ack_interrupts();
         check_escalation(&mut self.blk_dev, "blk_request")?;
         let done = self
             .svc_report
@@ -1124,6 +1138,34 @@ mod tests {
         }
         let (tx, rx, io) = s.counters();
         assert_eq!((tx, rx, io), (200, 200, 200));
+    }
+
+    #[test]
+    fn completion_interrupts_are_acknowledged_every_op() {
+        let mut s = session();
+        let mut store = BlockStore::new(StorageClass::LocalSsd, 5);
+        let mut t = SimTime::ZERO;
+        for i in 0..10_000u64 {
+            let (_, timing) = s
+                .net_send(MacAddr::for_guest(2), PacketKind::Udp, &[1, 2, 3], t)
+                .unwrap();
+            t = timing.completed;
+            if i % 100 == 0 {
+                let (_, _, timing) = s
+                    .blk_request(&mut store, BlkRequestType::In, i, &[], 512, t)
+                    .unwrap();
+                t = timing.completed;
+            }
+            assert!(
+                !s.net_dev.msi().has_pending(),
+                "net MSIs pile up by send {i}"
+            );
+            assert!(
+                !s.blk_dev.msi().has_pending(),
+                "blk MSIs pile up by send {i}"
+            );
+        }
+        assert!(s.net_dev.msi().delivered_count() >= 10_000);
     }
 
     #[test]

@@ -37,6 +37,7 @@ fn every_canned_plan_injects_and_recovers() {
             text.contains("recovered: yes"),
             "{name}: report must state recovery"
         );
+        assert!(!text.contains("failed ops"), "{name}: ops failed:\n{text}");
     }
 }
 
@@ -85,4 +86,25 @@ fn clean_run_reports_disarmed_engine() {
     let text = bmhive_bench::run_experiment("faults", 42).expect("faults experiment");
     assert!(text.contains("none (clean baseline)"));
     assert!(text.contains("fault engine: disarmed"));
+}
+
+#[test]
+fn escalating_plan_renders_failed_ops_instead_of_panicking() {
+    // A DMA timeout that outlasts every retry budget: each op that
+    // touches DMA escalates past recovery for the whole run.
+    let doc = r#"{"name":"x","events":[{"at_us":0,"site":"dma","kind":"dma-timeout","duration_us":100000000}]}"#;
+    let path = std::env::temp_dir().join(format!("escalating-plan-{}.json", std::process::id()));
+    std::fs::write(&path, doc).expect("write plan file");
+    let plan = bmhive_bench::sweep::resolve_plan(path.to_str().expect("utf-8 path"));
+    std::fs::remove_file(&path).ok();
+    faults::arm(plan.expect("plan file resolves"), 1);
+    let text = bmhive_bench::run_experiment("faults", 1).expect("faults experiment");
+    let stats = faults::disarm().expect("was armed");
+    assert!(text.contains("failed ops "), "no failed-op count:\n{text}");
+    assert!(
+        !stats.all_recovered(),
+        "an escalating plan must report an unrecovered site:\n{}",
+        stats.to_text()
+    );
+    assert!(text.contains("recovered: NO"), "{text}");
 }

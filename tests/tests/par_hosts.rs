@@ -154,9 +154,12 @@ fn region_host_days_merge_identically_at_every_width() {
     }
 }
 
+/// Experiments whose inner work fans out across `par::run_hosts`.
+const PARALLEL_EXPERIMENT_IDS: [&str; 2] = ["fleet_scale", "region_census"];
+
 #[test]
 fn parallel_experiments_render_byte_identically_at_every_width() {
-    for id in bmhive_bench::PARALLEL_EXPERIMENT_IDS {
+    for id in PARALLEL_EXPERIMENT_IDS {
         let serial = at_width(1, || bmhive_bench::run_experiment(id, 1).expect("known id"));
         for width in [2usize, 4, 8] {
             let parallel = at_width(width, || {
