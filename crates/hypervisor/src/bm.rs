@@ -8,6 +8,7 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
+use crate::{netframe, volume};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
@@ -18,7 +19,7 @@ use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{
     BlkRequestHeader, BlkRequestType, BlkStatus, DescChain, DeviceType, Feature, QueueLayout,
-    VirtioError, VirtioNetHeader, Virtqueue, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
+    VirtioError, Virtqueue, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
 };
 use std::error::Error;
 use std::fmt;
@@ -165,8 +166,6 @@ pub struct BmGuestSession {
     doorbells_suppressed: u64,
     /// Reused service-pass report (steady-state passes allocate nothing).
     svc_report: ServiceReport,
-    /// Reused hdr+payload assembly buffer for net frames.
-    frame_scratch: Vec<u8>,
     /// Reused readable-segment list for blk chain assembly.
     blk_readable: Vec<SgSegment>,
     /// Reused writable-segment list for blk chain assembly.
@@ -316,7 +315,6 @@ impl BmGuestSession {
             total_io: 0,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
-            frame_scratch: Vec::new(),
             blk_readable: Vec::new(),
             blk_writable: Vec::new(),
             blk_slots: Vec::new(),
@@ -466,15 +464,8 @@ impl BmGuestSession {
         // Guest: build hdr + payload in board RAM.
         let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
         let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        let hdr = VirtioNetHeader::simple();
-        // The buffer may span slots; scatter hdr+payload across it
-        // (assembled in the reused frame buffer).
-        let mut bytes = std::mem::take(&mut self.frame_scratch);
-        bytes.clear();
-        bytes.extend_from_slice(&hdr.to_bytes());
-        bytes.extend_from_slice(payload);
-        buf.scatter(&mut self.board, &bytes)?;
-        self.frame_scratch = bytes;
+        // The buffer may span slots; the frame is written across it.
+        netframe::write_frame(&mut self.board, &buf, payload)?;
         let old_avail = self.net_tx_driver.avail_idx();
         let head = self
             .net_tx_driver
@@ -530,15 +521,12 @@ impl BmGuestSession {
             .ok_or(SessionError::BadRequest(
                 "tx chain missing from shadow ring",
             ))?;
-        let mut frame = std::mem::take(&mut self.frame_scratch);
-        chain.readable.gather_into(&self.base, &mut frame)?;
-        if frame.len() < VIRTIO_NET_HDR_LEN as usize {
-            return Err(SessionError::BadRequest(
-                "frame shorter than virtio-net header",
-            ));
-        }
-        let payload_out = frame[VIRTIO_NET_HDR_LEN as usize..].to_vec();
-        self.frame_scratch = frame;
+        let payload_out = netframe::read_payload(
+            &self.base,
+            &chain.readable,
+            chain.readable.total_len(),
+            "frame shorter than virtio-net header",
+        )?;
         let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, self.total_tx);
 
         // Rate limiting at the backend (identical for vm-guests).
@@ -642,14 +630,8 @@ impl BmGuestSession {
             .net_rx_backend
             .pop_avail(&self.base)?
             .ok_or(SessionError::NoBuffers)?;
-        // Backend writes hdr + payload into the staging buffer
-        // (assembled in the reused frame buffer).
-        let mut bytes = std::mem::take(&mut self.frame_scratch);
-        bytes.clear();
-        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
-        bytes.extend_from_slice(payload);
-        let written = chain.writable.scatter(&mut self.base, &bytes)?;
-        self.frame_scratch = bytes;
+        // Backend writes hdr + payload into the staging buffer.
+        let written = netframe::write_frame(&mut self.base, &chain.writable, payload)?;
         self.net_rx_backend
             .push_used(&mut self.base, chain.head, written as u32)?;
 
@@ -673,14 +655,12 @@ impl BmGuestSession {
                 .get_mut(usize::from(head))
                 .and_then(Option::take)
                 .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let mut data = std::mem::take(&mut self.frame_scratch);
-            buf.gather_into(&self.board, &mut data)?;
-            let len = len as usize;
-            if len < VIRTIO_NET_HDR_LEN as usize || len > data.len() {
-                return Err(SessionError::BadRequest("rx frame shorter than header"));
-            }
-            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..len].to_vec());
-            self.frame_scratch = data;
+            delivered = Some(netframe::read_payload(
+                &self.board,
+                &buf,
+                u64::from(len),
+                "rx frame shorter than header",
+            )?);
             self.rx_pool.free(&buf);
         }
         self.replenish_rx()?;
@@ -848,17 +828,17 @@ impl BmGuestSession {
             }
             // Last slot is the status byte; for reads the middle slot is
             // the data.
-            let status_slot = slots.last().expect("status slot");
-            let mut status = std::mem::take(&mut self.frame_scratch);
-            status_slot.gather_into(&self.board, &mut status)?;
-            let status_byte = status[0];
-            self.frame_scratch = status;
+            let mut status_byte = [0u8; 1];
+            slots
+                .last()
+                .expect("status slot")
+                .read_prefix(&self.board, &mut status_byte)?;
             let data_out = if is_read && slots.len() == 3 {
                 slots[1].gather(&self.board)?
             } else {
                 Vec::new()
             };
-            result = (BlkStatus::from_wire(status_byte), data_out);
+            result = (BlkStatus::from_wire(status_byte[0]), data_out);
             for slot in &slots {
                 self.blk_pool.free(slot);
             }
@@ -916,56 +896,23 @@ impl BmGuestSession {
         chain: &DescChain,
         now: SimTime,
     ) -> Result<(BlkStatus, u32, SimTime), SessionError> {
-        let mut readable = std::mem::take(&mut self.frame_scratch);
-        chain.readable.gather_into(&self.base, &mut readable)?;
-        if readable.len() < 16 {
-            self.frame_scratch = readable;
-            return Err(SessionError::BadRequest("blk header too short"));
-        }
-        let hdr = BlkRequestHeader::from_bytes(&readable);
-        let data_in_len = readable.len() as u64 - 16;
-        self.frame_scratch = readable;
-        let writable_len = chain.writable.total_len();
-        if writable_len == 0 {
-            return Err(SessionError::BadRequest("blk chain lacks status byte"));
-        }
-        let data_out_len = writable_len - 1;
-
-        match hdr.req_type {
+        let req = volume::parse(&self.base, chain)?;
+        let (status, done) = match req.hdr.req_type {
             BlkRequestType::In => {
-                let admitted = self.limits.admit_io(data_out_len, now);
-                let io = store.submit(IoKind::Read, data_out_len, admitted);
-                // Synthesize deterministic volume contents: sector-seeded
-                // bytes, so reads are verifiable (assembled in the reused
-                // frame buffer).
-                let mut bytes = std::mem::take(&mut self.frame_scratch);
-                bytes.clear();
-                for i in 0..data_out_len {
-                    bytes.push((hdr.sector.wrapping_add(i) % 251) as u8);
-                }
-                bytes.push(BlkStatus::Ok.to_wire());
-                let written = chain.writable.scatter(&mut self.base, &bytes)?;
-                self.frame_scratch = bytes;
-                Ok((BlkStatus::Ok, written as u32, io.complete_at))
+                let admitted = self.limits.admit_io(req.data_out_len, now);
+                let io = store.submit(IoKind::Read, req.data_out_len, admitted);
+                (BlkStatus::Ok, io.complete_at)
             }
             BlkRequestType::Out => {
-                let admitted = self.limits.admit_io(data_in_len, now);
-                let io = store.submit(IoKind::Write, data_in_len, admitted);
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Ok.to_wire()])?;
-                Ok((BlkStatus::Ok, 1, io.complete_at))
+                let admitted = self.limits.admit_io(req.data_in_len, now);
+                let io = store.submit(IoKind::Write, req.data_in_len, admitted);
+                (BlkStatus::Ok, io.complete_at)
             }
-            BlkRequestType::Flush => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Ok.to_wire()])?;
-                Ok((BlkStatus::Ok, 1, now + SimDuration::from_micros(50)))
-            }
-            BlkRequestType::Unsupported(_) => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Unsupported.to_wire()])?;
-                Ok((BlkStatus::Unsupported, 1, now))
-            }
-        }
+            BlkRequestType::Flush => (BlkStatus::Ok, now + SimDuration::from_micros(50)),
+            BlkRequestType::Unsupported(_) => (BlkStatus::Unsupported, now),
+        };
+        let written = volume::write_response(&mut self.base, &chain.writable, &req, status)?;
+        Ok((status, written, done))
     }
 }
 

@@ -34,12 +34,14 @@ pub mod bm;
 pub mod boot;
 pub mod console;
 pub mod migrate;
+mod netframe;
 pub mod path;
 pub mod pmd;
 pub mod precopy;
 pub mod slowpath;
 pub mod upgrade;
 pub mod vm;
+mod volume;
 
 pub use bm::{BmGuestSession, BoardOutage};
 pub use boot::{boot_guest, BootReport};

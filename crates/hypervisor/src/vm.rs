@@ -12,6 +12,7 @@
 //! * data is copied by host CPUs rather than a DMA engine;
 //! * host tasks occasionally preempt the vCPU (Fig. 1).
 
+use crate::{netframe, volume};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_iobond::StagingPool;
@@ -20,8 +21,8 @@ use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{
-    BlkRequestHeader, BlkRequestType, BlkStatus, QueueLayout, VirtioNetHeader, Virtqueue,
-    VirtqueueDriver, VIRTIO_NET_HDR_LEN,
+    BlkRequestHeader, BlkRequestType, BlkStatus, QueueLayout, Virtqueue, VirtqueueDriver,
+    VIRTIO_NET_HDR_LEN,
 };
 use std::collections::HashMap;
 
@@ -159,8 +160,9 @@ impl VmGuestSession {
             let Some(buf) = self.rx_pool.alloc(u64::from(RX_BUF)) else {
                 break;
             };
-            let segs: Vec<SgSegment> = buf.segments().to_vec();
-            let head = self.net_rx_driver.add_buf(&mut self.ram, &[], &segs)?;
+            let head = self
+                .net_rx_driver
+                .add_buf(&mut self.ram, &[], buf.segments())?;
             self.rx_posted.insert(head, buf);
         }
         Ok(())
@@ -208,11 +210,10 @@ impl VmGuestSession {
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
         let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
         let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        let mut bytes = VirtioNetHeader::simple().to_bytes().to_vec();
-        bytes.extend_from_slice(payload);
-        buf.scatter(&mut self.ram, &bytes)?;
-        let segs: Vec<SgSegment> = buf.segments().to_vec();
-        let head = self.net_tx_driver.add_buf(&mut self.ram, &segs, &[])?;
+        netframe::write_frame(&mut self.ram, &buf, payload)?;
+        let head = self
+            .net_tx_driver
+            .add_buf(&mut self.ram, buf.segments(), &[])?;
         self.tx_posted.insert(head, buf);
 
         // Kick: ioeventfd VM exit.
@@ -224,14 +225,14 @@ impl VmGuestSession {
             .net_tx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("tx chain missing"))?;
-        let frame = chain.readable.gather(&self.ram)?;
-        if frame.len() < VIRTIO_NET_HDR_LEN as usize {
-            return Err(SessionError::BadRequest(
-                "frame shorter than virtio-net header",
-            ));
-        }
-        let payload_out = frame[VIRTIO_NET_HDR_LEN as usize..].to_vec();
-        let copied = kicked + self.copy_cost(frame.len() as u64);
+        let frame_len = chain.readable.total_len();
+        let payload_out = netframe::read_payload(
+            &self.ram,
+            &chain.readable,
+            frame_len,
+            "frame shorter than virtio-net header",
+        )?;
+        let copied = kicked + self.copy_cost(frame_len);
         let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, self.total_tx);
         let admitted = self.limits.admit_packet(packet.wire_bytes(), copied);
 
@@ -303,10 +304,8 @@ impl VmGuestSession {
             .net_rx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::NoBuffers)?;
-        let mut bytes = VirtioNetHeader::simple().to_bytes().to_vec();
-        bytes.extend_from_slice(payload);
-        let copied = now + self.copy_cost(bytes.len() as u64);
-        let written = chain.writable.scatter(&mut self.ram, &bytes)?;
+        let copied = now + self.copy_cost(VIRTIO_NET_HDR_LEN + payload.len() as u64);
+        let written = netframe::write_frame(&mut self.ram, &chain.writable, payload)?;
         self.net_rx_backend
             .push_used(&mut self.ram, chain.head, written as u32)?;
         // Rx interrupt; receiver may be idle.
@@ -318,9 +317,12 @@ impl VmGuestSession {
                 .rx_posted
                 .remove(&head)
                 .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let data = buf.gather(&self.ram)?;
-            let data = data[..len as usize].to_vec();
-            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..].to_vec());
+            delivered = Some(netframe::read_payload(
+                &self.ram,
+                &buf,
+                u64::from(len),
+                "rx frame shorter than header",
+            )?);
             self.rx_pool.free(&buf);
         }
         self.replenish_rx()?;
@@ -408,46 +410,29 @@ impl VmGuestSession {
             .blk_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("blk chain missing"))?;
-        let readable_bytes = chain.readable.gather(&self.ram)?;
-        let hdr = BlkRequestHeader::from_bytes(&readable_bytes);
-        let data_in = &readable_bytes[16..];
-        let writable_len = chain.writable.total_len();
-        let data_out_len = writable_len - 1;
+        let req = volume::parse(&self.ram, &chain)?;
 
-        let (_status, written, io_done) = match hdr.req_type {
+        let (status, io_done) = match req.hdr.req_type {
             BlkRequestType::In => {
-                let admitted = self.limits.admit_io(data_out_len, kicked);
-                let io = store.submit(IoKind::Read, data_out_len, admitted);
+                let admitted = self.limits.admit_io(req.data_out_len, kicked);
+                let io = store.submit(IoKind::Read, req.data_out_len, admitted);
                 // The vm path pays an extra CPU copy host buffer → guest.
-                let done = io.complete_at + self.copy_cost(data_out_len);
-                let mut bytes: Vec<u8> = Vec::with_capacity(data_out_len as usize);
-                for i in 0..data_out_len {
-                    bytes.push((hdr.sector.wrapping_add(i) % 251) as u8);
-                }
-                bytes.push(BlkStatus::Ok.to_wire());
-                let written = chain.writable.scatter(&mut self.ram, &bytes)?;
-                (BlkStatus::Ok, written as u32, done)
+                (
+                    BlkStatus::Ok,
+                    io.complete_at + self.copy_cost(req.data_out_len),
+                )
             }
             BlkRequestType::Out => {
                 // Extra copy guest → host buffer before submission.
-                let copied = kicked + self.copy_cost(data_in.len() as u64);
-                let admitted = self.limits.admit_io(data_in.len() as u64, copied);
-                let io = store.submit(IoKind::Write, data_in.len() as u64, admitted);
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Ok.to_wire()])?;
-                (BlkStatus::Ok, 1, io.complete_at)
+                let copied = kicked + self.copy_cost(req.data_in_len);
+                let admitted = self.limits.admit_io(req.data_in_len, copied);
+                let io = store.submit(IoKind::Write, req.data_in_len, admitted);
+                (BlkStatus::Ok, io.complete_at)
             }
-            BlkRequestType::Flush => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Ok.to_wire()])?;
-                (BlkStatus::Ok, 1, kicked + SimDuration::from_micros(50))
-            }
-            BlkRequestType::Unsupported(_) => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Unsupported.to_wire()])?;
-                (BlkStatus::Unsupported, 1, kicked)
-            }
+            BlkRequestType::Flush => (BlkStatus::Ok, kicked + SimDuration::from_micros(50)),
+            BlkRequestType::Unsupported(_) => (BlkStatus::Unsupported, kicked),
         };
+        let written = volume::write_response(&mut self.ram, &chain.writable, &req, status)?;
         self.blk_backend
             .push_used(&mut self.ram, chain.head, written)?;
         // Storage completions usually find the vCPU halted in io_wait.

@@ -322,25 +322,9 @@ impl IoBondDevice {
 
     /// One full service pass, as IO-Bond's logic runs it continuously:
     /// drain doorbells, sync every queue board → base, then base → board,
-    /// raising an MSI per completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring-format errors from a misbehaving guest.
-    pub fn service(
-        &mut self,
-        board: &mut GuestRam,
-        base: &mut GuestRam,
-        now: SimTime,
-    ) -> Result<ServiceReport, VirtioError> {
-        let mut report = ServiceReport::default();
-        self.service_into(board, base, now, &mut report)?;
-        Ok(report)
-    }
-
-    /// Poll-style [`IoBondDevice::service`]: the caller owns `report`
-    /// (cleared first) and reuses it across passes, so a steady-state
-    /// service loop never allocates.
+    /// raising an MSI per completion. The caller owns `report` (cleared
+    /// first) and reuses it across passes, so a steady-state service
+    /// loop never allocates.
     ///
     /// # Errors
     ///
@@ -468,6 +452,7 @@ mod tests {
     #[test]
     fn tx_flows_to_shadow_and_completion_raises_msi() {
         let mut r = rig();
+        let mut report = ServiceReport::default();
         // Guest posts a Tx packet.
         r.board.write(GuestAddr::new(0x8000), b"frame").unwrap();
         let head = r
@@ -479,9 +464,8 @@ mod tests {
             )
             .unwrap();
         // IO-Bond services: chain lands in the tx shadow ring.
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
+        r.dev
+            .service_into(&mut r.board, &mut r.base, SimTime::ZERO, &mut report)
             .unwrap();
         assert_eq!(report.tx[1].chains, 1);
         // Backend (acting on the shadow ring) consumes and completes.
@@ -490,9 +474,13 @@ mod tests {
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"frame");
         backend.push_used(&mut r.base, chain.head, 0).unwrap();
         // Next service pass returns the completion + MSI.
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(5))
+        r.dev
+            .service_into(
+                &mut r.board,
+                &mut r.base,
+                SimTime::from_micros(5),
+                &mut report,
+            )
             .unwrap();
         assert_eq!(report.completions.len(), 1);
         assert_eq!(report.completions[0].guest_head, head);
@@ -521,6 +509,7 @@ mod tests {
     #[test]
     fn backend_failure_recovery_replays_inflight_chains() {
         let mut r = rig();
+        let mut pass = ServiceReport::default();
         // Chain staged into the shadow ring, never completed: the
         // backend dies with it in flight.
         r.board.write(GuestAddr::new(0x8000), b"lost?").unwrap();
@@ -533,7 +522,7 @@ mod tests {
             )
             .unwrap();
         r.dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
+            .service_into(&mut r.board, &mut r.base, SimTime::ZERO, &mut pass)
             .unwrap();
         assert_eq!(r.dev.shadow(1).unwrap().inflight_guest_heads(), vec![head]);
 
@@ -551,14 +540,24 @@ mod tests {
         // The next service pass re-stages the chain; a fresh backend
         // completes it and the guest sees exactly one completion.
         r.dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(1))
+            .service_into(
+                &mut r.board,
+                &mut r.base,
+                SimTime::from_micros(1),
+                &mut pass,
+            )
             .unwrap();
         let mut backend = Virtqueue::new(r.dev.shadow(1).unwrap().shadow_layout());
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"lost?");
         backend.push_used(&mut r.base, chain.head, 0).unwrap();
         r.dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(2))
+            .service_into(
+                &mut r.board,
+                &mut r.base,
+                SimTime::from_micros(2),
+                &mut pass,
+            )
             .unwrap();
         assert_eq!(r.tx_driver.poll_used(&r.board).unwrap(), Some((head, 0)));
         assert_eq!(r.tx_driver.poll_used(&r.board).unwrap(), None);
@@ -577,6 +576,7 @@ mod tests {
     #[test]
     fn rx_buffer_flow_end_to_end() {
         let mut r = rig();
+        let mut report = ServiceReport::default();
         // Guest pre-posts rx buffers (as net drivers do).
         let head = r
             .rx_driver
@@ -587,16 +587,20 @@ mod tests {
             )
             .unwrap();
         r.dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
+            .service_into(&mut r.board, &mut r.base, SimTime::ZERO, &mut report)
             .unwrap();
         // Backend receives a packet from the vSwitch and fills the buffer.
         let mut backend = Virtqueue::new(r.dev.shadow(0).unwrap().shadow_layout());
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         chain.writable.scatter(&mut r.base, b"incoming").unwrap();
         backend.push_used(&mut r.base, chain.head, 8).unwrap();
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(2))
+        r.dev
+            .service_into(
+                &mut r.board,
+                &mut r.base,
+                SimTime::from_micros(2),
+                &mut report,
+            )
             .unwrap();
         assert_eq!(report.completions.len(), 1);
         assert_eq!(r.rx_driver.poll_used(&r.board).unwrap(), Some((head, 8)));

@@ -4,9 +4,50 @@ use crate::addr::GuestAddr;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT; // 4 KiB
+
+/// What a never-written page reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// Multiplicative (Fibonacci) hash of a page number.
+///
+/// Every ring field access and every page of every copy does one page
+/// lookup, so SipHash's DoS resistance — pointless for keys the
+/// simulator itself generates — was a measurable share of each access.
+/// A product with an odd constant is well mixed only in its high bits,
+/// so `finish` rotates them down into the low bits the table indexes
+/// buckets with; page numbers at a power-of-two stride (one page per
+/// staging slot) then still spread across buckets. The map is only
+/// probed (`get`/`entry`/`len`), so its iteration order is never
+/// observed.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    /// 2^64 / φ, rounded to odd.
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(Self::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>;
 
 /// Errors returned by [`GuestRam`] accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +97,7 @@ impl Error for MemError {}
 #[derive(Debug, Clone)]
 pub struct GuestRam {
     size: u64,
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageMap,
 }
 
 impl GuestRam {
@@ -69,7 +110,7 @@ impl GuestRam {
         assert!(size > 0, "GuestRam: size must be positive");
         GuestRam {
             size,
-            pages: HashMap::new(),
+            pages: PageMap::default(),
         }
     }
 
@@ -83,7 +124,15 @@ impl GuestRam {
         self.pages.len()
     }
 
-    fn check(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
+    /// Checks that `[addr, addr + len)` lies inside the memory — the
+    /// test every access makes before touching a byte. A zero-length
+    /// range at `addr == size()` is in bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the
+    /// memory size or overflows the address space.
+    pub fn check_range(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
         let end = addr.value().checked_add(len);
         match end {
             Some(end) if end <= self.size => Ok(()),
@@ -102,7 +151,7 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size; no bytes are read in that case.
     pub fn read(&self, addr: GuestAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        self.check(addr, buf.len() as u64)?;
+        self.check_range(addr, buf.len() as u64)?;
         let mut offset = addr.value();
         let mut filled = 0usize;
         while filled < buf.len() {
@@ -128,7 +177,7 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size; no bytes are written in that case.
     pub fn write(&mut self, addr: GuestAddr, data: &[u8]) -> Result<(), MemError> {
-        self.check(addr, data.len() as u64)?;
+        self.check_range(addr, data.len() as u64)?;
         let mut offset = addr.value();
         let mut written = 0usize;
         while written < data.len() {
@@ -142,6 +191,52 @@ impl GuestRam {
             page_data[in_page..in_page + take].copy_from_slice(&data[written..written + take]);
             written += take;
             offset += take as u64;
+        }
+        Ok(())
+    }
+
+    /// Copies `len` bytes from `src` at `src_addr` into this memory at
+    /// `dst_addr`, page slice to page slice with no intermediate buffer —
+    /// the byte movement of one DMA between two memory domains. A
+    /// never-written source page reads as zero; every touched
+    /// destination page becomes resident, exactly as [`GuestRam::write`]
+    /// of the same bytes would leave it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the source range exceeds
+    /// `src` (checked first) or the destination range exceeds this
+    /// memory; no bytes are written in either case.
+    pub fn copy_from(
+        &mut self,
+        dst_addr: GuestAddr,
+        src: &GuestRam,
+        src_addr: GuestAddr,
+        len: u64,
+    ) -> Result<(), MemError> {
+        src.check_range(src_addr, len)?;
+        self.check_range(dst_addr, len)?;
+        let mut from = src_addr.value();
+        let mut to = dst_addr.value();
+        let mut remaining = len;
+        while remaining > 0 {
+            let src_off = (from & (PAGE_SIZE - 1)) as usize;
+            let dst_off = (to & (PAGE_SIZE - 1)) as usize;
+            let take = remaining
+                .min(PAGE_SIZE - src_off as u64)
+                .min(PAGE_SIZE - dst_off as u64) as usize;
+            let bytes = match src.pages.get(&(from >> PAGE_SHIFT)) {
+                Some(page) => &page[src_off..src_off + take],
+                None => &ZERO_PAGE[..take],
+            };
+            let page = self
+                .pages
+                .entry(to >> PAGE_SHIFT)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+            page[dst_off..dst_off + take].copy_from_slice(bytes);
+            from += take as u64;
+            to += take as u64;
+            remaining -= take as u64;
         }
         Ok(())
     }
@@ -165,7 +260,7 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size.
     pub fn fill(&mut self, addr: GuestAddr, len: u64, byte: u8) -> Result<(), MemError> {
-        self.check(addr, len)?;
+        self.check_range(addr, len)?;
         // Writing through the page map keeps the sparse representation.
         let chunk = [byte; 256];
         let mut remaining = len;
@@ -288,6 +383,89 @@ mod tests {
         let mut ram = GuestRam::new(64 << 30); // 64 GiB — cheap to create
         ram.write_u8(GuestAddr::new(63 << 30), 1).unwrap();
         assert_eq!(ram.resident_pages(), 1);
+    }
+
+    #[test]
+    fn copy_from_moves_bytes_across_page_boundaries() {
+        let mut src = GuestRam::new(1 << 20);
+        let mut dst = GuestRam::new(1 << 20);
+        let data: Vec<u8> = (0..=255).cycle().take(9000).collect();
+        src.write(GuestAddr::new(PAGE_SIZE - 5), &data).unwrap();
+        // Offsets chosen so the source and destination page boundaries
+        // never line up.
+        dst.copy_from(
+            GuestAddr::new(3 * PAGE_SIZE - 1000),
+            &src,
+            GuestAddr::new(PAGE_SIZE - 5),
+            9000,
+        )
+        .unwrap();
+        assert_eq!(
+            dst.read_vec(GuestAddr::new(3 * PAGE_SIZE - 1000), 9000)
+                .unwrap(),
+            data
+        );
+        assert_eq!(dst.resident_pages(), 3);
+    }
+
+    #[test]
+    fn copy_from_unwritten_source_zeroes_and_allocates_like_write() {
+        let src = GuestRam::new(1 << 20);
+        let mut dst = GuestRam::new(1 << 20);
+        dst.fill(GuestAddr::new(0), 64, 0xee).unwrap();
+        dst.copy_from(GuestAddr::new(16), &src, GuestAddr::new(0x8000), 32)
+            .unwrap();
+        let back = dst.read_vec(GuestAddr::new(0), 64).unwrap();
+        assert!(back[..16].iter().all(|&b| b == 0xee));
+        assert!(back[16..48].iter().all(|&b| b == 0));
+        assert!(back[48..].iter().all(|&b| b == 0xee));
+        // A zero-length copy touches nothing.
+        dst.copy_from(GuestAddr::new(0x9000), &src, GuestAddr::new(0), 0)
+            .unwrap();
+        assert_eq!(dst.resident_pages(), 1);
+    }
+
+    #[test]
+    fn copy_from_out_of_bounds_writes_nothing() {
+        let mut src = GuestRam::new(64);
+        src.fill(GuestAddr::new(0), 64, 7).unwrap();
+        let mut dst = GuestRam::new(128);
+        let err = dst
+            .copy_from(GuestAddr::new(0), &src, GuestAddr::new(60), 8)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MemError::OutOfBounds {
+                addr: GuestAddr::new(60),
+                len: 8,
+                size: 64
+            },
+            "the source range is checked first"
+        );
+        let err = dst
+            .copy_from(GuestAddr::new(124), &src, GuestAddr::new(0), 8)
+            .unwrap_err();
+        assert!(matches!(err, MemError::OutOfBounds { size: 128, .. }));
+        assert_eq!(dst.resident_pages(), 0);
+    }
+
+    #[test]
+    fn page_hasher_spreads_strided_pages() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<PageHasher>::default();
+        for stride in [1u64, 16, 256] {
+            let pages: Vec<u64> = (0..128).map(|i| 0x400 + i * stride).collect();
+            // Bucket index (low bits) and tag byte (top 7 bits) both
+            // spread like a random function's (~81 of 128 values); an
+            // unrotated product's low bits would collapse to
+            // 128 / stride of them.
+            let low: std::collections::HashSet<u64> =
+                pages.iter().map(|&p| build.hash_one(p) & 127).collect();
+            let tags: std::collections::HashSet<u64> =
+                pages.iter().map(|&p| build.hash_one(p) >> 57).collect();
+            assert!(low.len() > 48, "stride {stride}: {} buckets", low.len());
+            assert!(tags.len() > 48, "stride {stride}: {} tags", tags.len());
+        }
     }
 
     #[test]

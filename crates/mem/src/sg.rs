@@ -193,6 +193,28 @@ impl SgList {
         Ok(())
     }
 
+    /// Reads the first `buf.len()` bytes of the list into `buf`, leaving
+    /// the rest unread — how a backend parses a request header out of a
+    /// chain without copying the payload behind it. Returns the bytes
+    /// read (`min(buf.len(), total_len())`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if a touched segment exceeds the
+    /// memory size.
+    pub fn read_prefix(&self, ram: &GuestRam, buf: &mut [u8]) -> Result<usize, MemError> {
+        let mut filled = 0usize;
+        for seg in self.segments() {
+            if filled >= buf.len() {
+                break;
+            }
+            let take = (buf.len() - filled).min(seg.len as usize);
+            ram.read(seg.addr, &mut buf[filled..filled + take])?;
+            filled += take;
+        }
+        Ok(filled)
+    }
+
     /// Writes `data` across the segments in order, returning the number
     /// of bytes written (`min(data.len(), total_len())`).
     ///
@@ -385,6 +407,25 @@ mod tests {
         let payload: Vec<u8> = (0..12).collect();
         sg.scatter(&mut ram, &payload).unwrap();
         assert_eq!(sg.gather(&ram).unwrap(), payload);
+    }
+
+    #[test]
+    fn read_prefix_stops_before_the_payload() {
+        let ram = ram_with(&[(0x10, b"hdr:"), (0x40, b"payload")]);
+        let sg = SgList::from_segments(vec![
+            SgSegment::new(GuestAddr::new(0x10), 2),
+            SgSegment::new(GuestAddr::new(0x12), 2),
+            SgSegment::new(GuestAddr::new(0x40), 7),
+            // Never reached, so never bounds-checked.
+            SgSegment::new(GuestAddr::new(u64::MAX - 1), 8),
+        ]);
+        let mut hdr = [0u8; 6];
+        assert_eq!(sg.read_prefix(&ram, &mut hdr).unwrap(), 6);
+        assert_eq!(&hdr, b"hdr:pa");
+        let mut short = [0u8; 4];
+        let one = SgList::single(GuestAddr::new(0x10), 3);
+        assert_eq!(one.read_prefix(&ram, &mut short).unwrap(), 3);
+        assert_eq!(&short[..3], b"hdr");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! days.
 
 use bmhive_core::prelude::*;
-use bmhive_iobond::IoBondDevice;
+use bmhive_iobond::{IoBondDevice, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_virtio::{DeviceType, Feature, Virtqueue, VirtqueueDriver};
 
 #[test]
 fn device_reset_clears_and_reactivates() {
+    let mut pass = ServiceReport::default();
     let mut board = GuestRam::new(1 << 20);
     let mut base = GuestRam::new(64 << 20);
     let mut dev = IoBondDevice::new(
@@ -34,7 +35,8 @@ fn device_reset_clears_and_reactivates() {
             &[],
         )
         .unwrap();
-    dev.service(&mut board, &mut base, SimTime::ZERO).unwrap();
+    dev.service_into(&mut board, &mut base, SimTime::ZERO, &mut pass)
+        .unwrap();
     assert_eq!(dev.shadow(0).unwrap().inflight_count(), 1);
 
     // ...then the guest resets the device (status write 0).
@@ -51,6 +53,7 @@ fn device_reset_clears_and_reactivates() {
 
 #[test]
 fn backend_failure_marks_device_needs_reset() {
+    let mut pass = ServiceReport::default();
     // The per-guest bm-hypervisor process dies with one chain posted
     // but never completed; recovery must flag the device, re-handshake
     // a fresh epoch, and replay exactly that chain.
@@ -74,7 +77,8 @@ fn backend_failure_marks_device_needs_reset() {
             &[],
         )
         .unwrap();
-    dev.service(&mut board, &mut base, SimTime::ZERO).unwrap();
+    dev.service_into(&mut board, &mut base, SimTime::ZERO, &mut pass)
+        .unwrap();
     let mut heads = Vec::new();
     dev.shadow(0).unwrap().inflight_guest_heads_into(&mut heads);
     assert_eq!(heads, vec![head]);
@@ -97,14 +101,14 @@ fn backend_failure_marks_device_needs_reset() {
     // The replacement backend drains the fresh shadow ring: it sees
     // the replayed chain exactly once, and the guest reaps exactly one
     // completion.
-    dev.service(&mut board, &mut base, SimTime::from_micros(10))
+    dev.service_into(&mut board, &mut base, SimTime::from_micros(10), &mut pass)
         .unwrap();
     let mut backend = Virtqueue::new(dev.shadow(0).unwrap().shadow_layout());
     let chain = backend.pop_avail(&base).unwrap().expect("replayed chain");
     assert_eq!(chain.readable.gather(&base).unwrap(), b"inflight");
     backend.push_used(&mut base, chain.head, 0).unwrap();
     assert!(backend.pop_avail(&base).unwrap().is_none(), "exactly once");
-    dev.service(&mut board, &mut base, SimTime::from_micros(20))
+    dev.service_into(&mut board, &mut base, SimTime::from_micros(20), &mut pass)
         .unwrap();
     let (reaped, _) = driver.poll_used(&board).unwrap().expect("completion");
     assert_eq!(reaped, head);

@@ -3,7 +3,7 @@
 //! another — the configuration behind the 4 M PPS instances.
 
 use bmhive_core::prelude::*;
-use bmhive_iobond::IoBondDevice;
+use bmhive_iobond::{IoBondDevice, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_virtio::{DeviceType, Feature, NetConfig, VirtqueueDriver};
 
@@ -65,6 +65,7 @@ fn all_eight_queues_activate() {
 
 #[test]
 fn queues_carry_independent_traffic() {
+    let mut pass = ServiceReport::default();
     let mut r = rig();
     // Post a distinct payload on every TX queue (odd indices).
     for pair in 0..u64::from(PAIRS) {
@@ -81,7 +82,7 @@ fn queues_carry_independent_traffic() {
             .unwrap();
     }
     r.dev
-        .service(&mut r.board, &mut r.base, SimTime::ZERO)
+        .service_into(&mut r.board, &mut r.base, SimTime::ZERO, &mut pass)
         .unwrap();
 
     // Each backend sees exactly its own pair's frame.
@@ -101,7 +102,12 @@ fn queues_carry_independent_traffic() {
 
     // Completions route back to the right drivers.
     r.dev
-        .service(&mut r.board, &mut r.base, SimTime::from_micros(10))
+        .service_into(
+            &mut r.board,
+            &mut r.base,
+            SimTime::from_micros(10),
+            &mut pass,
+        )
         .unwrap();
     for pair in 0..u64::from(PAIRS) {
         let q = (pair * 2 + 1) as usize;
@@ -114,6 +120,7 @@ fn queues_carry_independent_traffic() {
 
 #[test]
 fn head_registers_are_per_queue() {
+    let mut pass = ServiceReport::default();
     let mut r = rig();
     // Three frames on tx0, one on tx3.
     for i in 0..3u64 {
@@ -132,7 +139,7 @@ fn head_registers_are_per_queue() {
         )
         .unwrap();
     r.dev
-        .service(&mut r.board, &mut r.base, SimTime::ZERO)
+        .service_into(&mut r.board, &mut r.base, SimTime::ZERO, &mut pass)
         .unwrap();
     assert_eq!(r.dev.shadow(1).unwrap().head_reg(), 3);
     assert_eq!(r.dev.shadow(7).unwrap().head_reg(), 1);
