@@ -91,11 +91,6 @@ impl ServiceProfile {
         self.shares_microarchitecture && self.max_tenants_per_server > 1
     }
 
-    /// Cross-tenant DoS through shared-resource contention.
-    pub fn resource_dos_exposed(&self) -> bool {
-        self.shares_microarchitecture && self.max_tenants_per_server > 1
-    }
-
     /// The provider is exposed to a malicious tenant owning the platform
     /// (firmware implants persisting across tenants).
     pub fn provider_exposed_to_tenant(&self) -> bool {

@@ -78,11 +78,6 @@ impl VSwitch {
         }
     }
 
-    /// Overrides the per-packet cost (for ablations).
-    pub fn set_per_packet_cost(&mut self, cost: SimDuration) {
-        self.per_packet = cost;
-    }
-
     /// Attaches a guest port with its MAC.
     pub fn attach(&mut self, mac: MacAddr, port: PortId) {
         self.macs.insert(mac, port);
@@ -281,21 +276,6 @@ impl VSwitch {
     /// The aggregate forwarding capacity in packets/second.
     pub fn capacity_pps(&self) -> f64 {
         self.pmd.servers() as f64 / self.per_packet.as_secs_f64()
-    }
-
-    /// Total PMD-core busy time so far (the poll-loop occupancy
-    /// numerator; divide by elapsed virtual time × cores).
-    pub fn pmd_busy_time(&self) -> SimDuration {
-        self.pmd.busy_time()
-    }
-
-    /// PMD poll-loop occupancy over `horizon` of virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn pmd_occupancy(&self, horizon: SimDuration) -> f64 {
-        self.pmd.utilization(horizon)
     }
 }
 

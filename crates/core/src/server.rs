@@ -122,12 +122,6 @@ impl BmHiveServer {
         }
     }
 
-    /// Switches every subsequently-installed board to the ASIC IO-Bond
-    /// profile (§6 ablation).
-    pub fn set_profile(&mut self, profile: IoBondProfile) {
-        self.profile = profile;
-    }
-
     /// The chassis constraints.
     pub fn constraints(&self) -> &ServerConstraints {
         &self.constraints
@@ -319,11 +313,6 @@ impl BmHiveServer {
             .get_mut(&guest_id)
             .map(|g| &mut g.session)
             .ok_or(ServerError::BadHandle("unknown guest"))
-    }
-
-    /// The shared cloud block store.
-    pub fn store_mut(&mut self) -> &mut BlockStore {
-        &mut self.store
     }
 
     /// Sends a packet from a guest into the cloud network. If the

@@ -204,18 +204,6 @@ impl FaultEvent {
         }
     }
 
-    /// A one-shot fault that fires the first time it is polled at or
-    /// after `at` (dropped doorbell, power loss).
-    pub fn oneshot(at: SimTime, site: FaultSite, kind: FaultKind) -> Self {
-        FaultEvent {
-            at,
-            site,
-            kind,
-            duration: SimDuration::ZERO,
-            factor: 1.0,
-        }
-    }
-
     /// A degradation window that multiplies latency by `factor`
     /// (latency spike, brownout).
     pub fn factor(
@@ -418,11 +406,20 @@ impl FaultPlan {
                 }
                 _ => 1.0,
             };
+            // Float-to-int casts saturate, so an out-of-range time lands
+            // on u64::MAX ns and the window's end no longer fits.
+            let at_ns = (at_us * 1_000.0) as u64;
+            let duration_ns = (duration_us * 1_000.0) as u64;
+            if at_ns.checked_add(duration_ns).is_none() {
+                return Err(PlanError::Invalid(format!(
+                    "event {i}: window ends past the end of simulated time"
+                )));
+            }
             plan.push(FaultEvent {
-                at: SimTime::from_nanos((at_us * 1_000.0) as u64),
+                at: SimTime::from_nanos(at_ns),
                 site,
                 kind,
-                duration: SimDuration::from_nanos((duration_us * 1_000.0) as u64),
+                duration: SimDuration::from_nanos(duration_ns),
                 factor,
             });
         }
@@ -586,6 +583,24 @@ mod tests {
             FaultPlan::from_json("not json"),
             Err(PlanError::Json(_))
         ));
+    }
+
+    #[test]
+    fn from_json_rejects_windows_past_the_end_of_time() {
+        let overflow = r#"{"name":"x","events":[
+            {"at_us":1,"site":"dma","kind":"dma-timeout","duration_us":1e17}
+        ]}"#;
+        assert_eq!(
+            FaultPlan::from_json(overflow),
+            Err(PlanError::Invalid(
+                "event 0: window ends past the end of simulated time".into()
+            ))
+        );
+        let long = r#"{"name":"x","events":[
+            {"at_us":1,"site":"dma","kind":"dma-timeout","duration_us":1e8}
+        ]}"#;
+        let plan = FaultPlan::from_json(long).unwrap();
+        assert_eq!(plan.horizon(), SimTime::from_micros(100_000_001));
     }
 
     #[test]

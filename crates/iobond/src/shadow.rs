@@ -317,6 +317,11 @@ impl ShadowQueue {
     ) -> Result<(u64, SimTime), StageError> {
         let r_len = chain.readable.total_len();
         let w_len = chain.writable.total_len();
+        // A zero-length chain has nothing to stage and no shadow chain
+        // to post it as; reject it before anything is allocated.
+        if r_len == 0 && w_len == 0 {
+            return Err(StageError::Virtio(VirtioError::EmptyChain));
+        }
         let seg_estimate = (r_len.div_ceil(u64::from(self.pool.slot_size()))
             + w_len.div_ceil(u64::from(self.pool.slot_size()))
             + 1)
@@ -976,5 +981,40 @@ mod tests {
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
         assert_eq!(report.chains, 0);
+    }
+
+    #[test]
+    fn zero_length_guest_chain_is_rejected() {
+        let mut r = rig(8, 16);
+        r.guest_driver
+            .add_buf(
+                &mut r.board,
+                &[SgSegment::new(GuestAddr::new(0x8000), 0)],
+                &[],
+            )
+            .unwrap();
+        let err = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(err, VirtioError::EmptyChain);
+        assert_eq!(r.shadow.head_reg(), 0);
+        assert_eq!(r.shadow.inflight_count(), 0);
+        // Nothing was staged, so an honest chain still gets a full pool.
+        r.board.write(GuestAddr::new(0x8000), b"ok").unwrap();
+        r.guest_driver
+            .add_buf(
+                &mut r.board,
+                &[SgSegment::new(GuestAddr::new(0x8000), 2)],
+                &[],
+            )
+            .unwrap();
+        let report = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(report.chains, 1);
+        let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        assert_eq!(chain.readable.gather(&r.base).unwrap(), b"ok");
     }
 }

@@ -48,13 +48,6 @@ impl NetLink {
         NetLink::new(100.0, SimDuration::from_micros(20))
     }
 
-    /// A same-server path: no physical wire at all (the Fig. 9 local
-    /// test), only the backend's memory moves — zero bandwidth limit is
-    /// approximated by a very fast link.
-    pub fn loopback() -> Self {
-        NetLink::new(400.0, SimDuration::ZERO)
-    }
-
     /// Link bandwidth in Gbit/s.
     pub fn bandwidth_gbps(&self) -> f64 {
         self.bandwidth_gbps

@@ -125,14 +125,6 @@ impl PciBus {
         self.devices.get(&bdf).map(|b| b.as_ref())
     }
 
-    /// Mutably borrows the device at `bdf`.
-    pub fn device_mut(&mut self, bdf: Bdf) -> Option<&mut (dyn PciDevice + '_)> {
-        match self.devices.get_mut(&bdf) {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
     /// Reads the configuration space of the device at `bdf`. Reads from
     /// empty slots return `0xffff_ffff`, which is how firmware detects
     /// absence.

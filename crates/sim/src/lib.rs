@@ -18,6 +18,8 @@
 //!   PPS / bandwidth / IOPS caps.
 //! * [`resource`] — busy-server primitives that convert service demands
 //!   into queueing delay under contention.
+//! * [`prop`] — the seeded property runner the workspace's property
+//!   suites run on.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 //! ```
 
 pub mod events;
+pub mod prop;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;

@@ -155,11 +155,6 @@ impl SimDuration {
         self.0 as f64 / 1e3
     }
 
-    /// The length of this duration in milliseconds, as a float.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The length of this duration in seconds, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

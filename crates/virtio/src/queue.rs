@@ -67,6 +67,8 @@ pub enum VirtioError {
     ReadableAfterWritable,
     /// An indirect descriptor had disallowed flags or a malformed table.
     BadIndirect(&'static str),
+    /// A chain's descriptors carried no bytes at all.
+    EmptyChain,
 }
 
 impl fmt::Display for VirtioError {
@@ -80,6 +82,7 @@ impl fmt::Display for VirtioError {
                 write!(f, "readable descriptor after writable descriptor")
             }
             VirtioError::BadIndirect(why) => write!(f, "bad indirect descriptor: {why}"),
+            VirtioError::EmptyChain => write!(f, "descriptor chain carries no bytes"),
         }
     }
 }

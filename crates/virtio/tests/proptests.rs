@@ -1,18 +1,12 @@
-// This suite depends on the external `proptest` crate, which is not
-// vendored; it only compiles with `--features bench-deps` after the
-// proptest dev-dependency is restored in Cargo.toml.
-#![cfg(feature = "bench-deps")]
-
 //! Property-based tests for the virtqueue: the invariants that make the
 //! driver/device contract safe against arbitrary (including adversarial)
 //! interleavings.
 
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
-use bmhive_virtio::{
-    PackedDevice, PackedDriver, PackedLayout, QueueLayout, Virtqueue, VirtqueueDriver,
-};
-use proptest::prelude::*;
+use bmhive_sim::prop;
+use bmhive_virtio::{QueueLayout, Virtqueue, VirtqueueDriver};
 
+const CASES: u64 = 256;
 const DATA_BASE: u64 = 0x40_000;
 
 fn setup(size: u16) -> (GuestRam, VirtqueueDriver, Virtqueue) {
@@ -23,22 +17,23 @@ fn setup(size: u16) -> (GuestRam, VirtqueueDriver, Virtqueue) {
     (ram, driver, device)
 }
 
-proptest! {
-    /// Whatever mix of posts and completions happens, no descriptor is
-    /// ever leaked or double-allocated: after draining, every descriptor
-    /// is free again.
-    #[test]
-    fn descriptors_are_conserved(
-        ops in prop::collection::vec((1usize..4, 0usize..3, any::<bool>()), 1..100),
-    ) {
+/// Whatever mix of posts and completions happens, no descriptor is
+/// ever leaked or double-allocated: after draining, every descriptor
+/// is free again.
+#[test]
+fn descriptors_are_conserved() {
+    prop::check("descriptors_are_conserved", CASES, |rng| {
+        let ops = prop::vec(rng, 1..100, |r| {
+            (r.range(1, 4), r.range(0, 3), r.chance(0.5))
+        });
         let size = 32u16;
         let (mut ram, mut driver, mut device) = setup(size);
         for (n_read, n_write, drain_now) in ops {
             let readable: Vec<SgSegment> = (0..n_read)
-                .map(|i| SgSegment::new(GuestAddr::new(DATA_BASE + (i as u64) * 256), 64))
+                .map(|i| SgSegment::new(GuestAddr::new(DATA_BASE + i * 256), 64))
                 .collect();
             let writable: Vec<SgSegment> = (0..n_write)
-                .map(|i| SgSegment::new(GuestAddr::new(DATA_BASE + 0x8000 + (i as u64) * 256), 64))
+                .map(|i| SgSegment::new(GuestAddr::new(DATA_BASE + 0x8000 + i * 256), 64))
                 .collect();
             // Post if room; otherwise skip (the error path is tested in
             // unit tests).
@@ -55,19 +50,20 @@ proptest! {
             device.push_used(&mut ram, chain.head, 0).unwrap();
         }
         while driver.poll_used(&ram).unwrap().is_some() {}
-        prop_assert_eq!(driver.num_free(), size);
-        prop_assert_eq!(driver.outstanding(), 0);
-        prop_assert_eq!(device.popped_count(), device.completed_count());
-    }
+        assert_eq!(driver.num_free(), size);
+        assert_eq!(driver.outstanding(), 0);
+        assert_eq!(device.popped_count(), device.completed_count());
+    });
+}
 
-    /// Payload bytes survive the queue: what the driver posts as readable
-    /// is exactly what the device gathers, for arbitrary payloads and
-    /// segmentation.
-    #[test]
-    fn payload_integrity(
-        payload in prop::collection::vec(any::<u8>(), 1..2048),
-        cuts in prop::collection::vec(1usize..2048, 0..4),
-    ) {
+/// Payload bytes survive the queue: what the driver posts as readable
+/// is exactly what the device gathers, for arbitrary payloads and
+/// segmentation.
+#[test]
+fn payload_integrity() {
+    prop::check("payload_integrity", CASES, |rng| {
+        let payload = prop::bytes(rng, 1..2048);
+        let cuts = prop::vec(rng, 0..4, |r| r.range(1, 2048) as usize);
         let (mut ram, mut driver, mut device) = setup(64);
         // Split the payload at the given cut points into segments.
         let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % payload.len()).collect();
@@ -78,22 +74,27 @@ proptest! {
         let mut segs = Vec::new();
         for w in bounds.windows(2) {
             let (start, end) = (w[0], w[1]);
-            if start == end { continue; }
+            if start == end {
+                continue;
+            }
             let addr = GuestAddr::new(DATA_BASE + start as u64);
             ram.write(addr, &payload[start..end]).unwrap();
             segs.push(SgSegment::new(addr, (end - start) as u32));
         }
         driver.add_buf(&mut ram, &segs, &[]).unwrap();
         let chain = device.pop_avail(&ram).unwrap().unwrap();
-        prop_assert_eq!(chain.readable.gather(&ram).unwrap(), payload);
+        assert_eq!(chain.readable.gather(&ram).unwrap(), payload);
         device.push_used(&mut ram, chain.head, 0).unwrap();
-    }
+    });
+}
 
-    /// The device sees chains in the order the driver posted them (FIFO
-    /// through the avail ring), and completions carry the right written
-    /// lengths back to the right heads.
-    #[test]
-    fn avail_order_and_used_lengths(lens in prop::collection::vec(1u32..512, 1..30)) {
+/// The device sees chains in the order the driver posted them (FIFO
+/// through the avail ring), and completions carry the right written
+/// lengths back to the right heads.
+#[test]
+fn avail_order_and_used_lengths() {
+    prop::check("avail_order_and_used_lengths", CASES, |rng| {
+        let lens = prop::vec(rng, 1..30, |r| r.range(1, 512) as u32);
         let (mut ram, mut driver, mut device) = setup(32);
         let mut posted = std::collections::VecDeque::new();
         for (i, &len) in lens.iter().enumerate() {
@@ -104,23 +105,24 @@ proptest! {
             // Device processes everything pending, writing `len` bytes.
             while let Some(chain) = device.pop_avail(&ram).unwrap() {
                 let (expect_head, expect_len) = posted.front().copied().unwrap();
-                prop_assert_eq!(chain.head, expect_head);
+                assert_eq!(chain.head, expect_head);
                 device.push_used(&mut ram, chain.head, expect_len).unwrap();
                 let (got_head, got_len) = driver.poll_used(&ram).unwrap().unwrap();
-                prop_assert_eq!((got_head, got_len), (expect_head, expect_len));
+                assert_eq!((got_head, got_len), (expect_head, expect_len));
                 posted.pop_front();
             }
         }
-        prop_assert!(posted.is_empty());
-    }
+        assert!(posted.is_empty());
+    });
+}
 
-    /// Indirect and direct posting are observationally equivalent to the
-    /// device.
-    #[test]
-    fn indirect_equals_direct(
-        payload in prop::collection::vec(any::<u8>(), 1..512),
-        n_segs in 1usize..4,
-    ) {
+/// Indirect and direct posting are observationally equivalent to the
+/// device.
+#[test]
+fn indirect_equals_direct() {
+    prop::check("indirect_equals_direct", CASES, |rng| {
+        let payload = prop::bytes(rng, 1..512);
+        let n_segs = rng.range(1, 4) as usize;
         let (mut ram, mut driver_d, mut device_d) = setup(16);
         let seg_len = payload.len().div_ceil(n_segs);
         let mut segs = Vec::new();
@@ -141,116 +143,42 @@ proptest! {
             .add_buf_indirect(&mut ram2, GuestAddr::new(0x20_000), &segs, &[])
             .unwrap();
         let indirect = device_i.pop_avail(&ram2).unwrap().unwrap();
-        prop_assert_eq!(indirect.readable.gather(&ram2).unwrap(), direct_bytes.clone());
-        prop_assert_eq!(direct_bytes, payload);
-    }
+        assert_eq!(indirect.readable.gather(&ram2).unwrap(), direct_bytes);
+        assert_eq!(direct_bytes, payload);
+    });
+}
 
-    /// `need_event` agrees with the direct definition: the event fires
-    /// iff the threshold `event` lies in the half-open window
-    /// `(old, new]` (mod 2^16), for any distance travelled.
-    #[test]
-    fn need_event_matches_window_semantics(
-        old in any::<u16>(),
-        steps in 0u16..1000,
-        event_offset in any::<u16>(),
-    ) {
+/// `need_event` agrees with the direct definition: the event fires
+/// iff the threshold `event` lies in the half-open window
+/// `(old, new]` (mod 2^16), for any distance travelled.
+#[test]
+fn need_event_matches_window_semantics() {
+    prop::check("need_event_matches_window_semantics", CASES, |rng| {
+        let old = rng.next_u32() as u16;
+        let steps = rng.range(0, 1000) as u16;
+        let event_offset = rng.next_u32() as u16;
         let new = old.wrapping_add(steps);
         let event = old.wrapping_add(event_offset);
-        let expected = steps > 0 && u32::from(event.wrapping_sub(old)) >= 1
+        let expected = steps > 0
+            && u32::from(event.wrapping_sub(old)) >= 1
             && event.wrapping_sub(old) <= steps;
-        prop_assert_eq!(
+        assert_eq!(
             bmhive_virtio::queue::need_event(event, new, old),
             expected,
-            "old {} new {} event {}", old, new, event
+            "old {} new {} event {}",
+            old,
+            new,
+            event
         );
-    }
+    });
+}
 
-    /// The packed ring is observationally equivalent to the split ring:
-    /// the same post/complete schedule delivers the same payloads in the
-    /// same order, for any ring size (including non-powers-of-two on the
-    /// packed side).
-    #[test]
-    fn packed_ring_equals_split_ring(
-        size in 2u16..12,
-        ops in prop::collection::vec((1u32..200, any::<bool>()), 1..60),
-    ) {
-        let split_size = size.next_power_of_two();
-        let mut ram_s = GuestRam::new(1 << 20);
-        let split_layout = QueueLayout::contiguous(GuestAddr::new(0x1000), split_size);
-        let mut sd = VirtqueueDriver::new(&mut ram_s, split_layout).unwrap();
-        let mut sv = Virtqueue::new(split_layout);
-
-        let mut ram_p = GuestRam::new(1 << 20);
-        let packed_layout = PackedLayout::new(GuestAddr::new(0x1000), split_size);
-        let mut pd = PackedDriver::new(&mut ram_p, packed_layout).unwrap();
-        let mut pv = PackedDevice::new(packed_layout);
-
-        let mut split_out = Vec::new();
-        let mut packed_out = Vec::new();
-        for (i, (len, drain)) in ops.iter().enumerate() {
-            let addr = GuestAddr::new(0x8000 + (i as u64 % 32) * 256);
-            let payload: Vec<u8> = (0..*len).map(|x| (x % 251) as u8).collect();
-            ram_s.write(addr, &payload).unwrap();
-            ram_p.write(addr, &payload).unwrap();
-            let seg = [SgSegment::new(addr, *len)];
-            let s_ok = sd.add_buf(&mut ram_s, &seg, &[]).is_ok();
-            let p_ok = pd.add_buf(&mut ram_p, &seg, &[]).is_ok();
-            prop_assert_eq!(s_ok, p_ok, "rings fill identically");
-            if *drain {
-                loop {
-                    let s = sv.pop_avail(&ram_s).unwrap();
-                    let p = pv.pop_avail(&ram_p).unwrap();
-                    prop_assert_eq!(s.is_some(), p.is_some());
-                    let (Some(s), Some(p)) = (s, p) else { break };
-                    split_out.push(s.readable.gather(&ram_s).unwrap());
-                    packed_out.push(p.readable.gather(&ram_p).unwrap());
-                    sv.push_used(&mut ram_s, s.head, 0).unwrap();
-                    pv.push_used(&mut ram_p, &p, 0).unwrap();
-                    sd.poll_used(&ram_s).unwrap().unwrap();
-                    pd.poll_used(&ram_p).unwrap().unwrap();
-                }
-            }
-        }
-        prop_assert_eq!(split_out, packed_out);
-    }
-
-    /// Packed-ring descriptor conservation across arbitrary mixed
-    /// chains and drains.
-    #[test]
-    fn packed_descriptors_conserved(
-        ops in prop::collection::vec((1usize..4, 0usize..3, any::<bool>()), 1..80),
-    ) {
-        let size = 16u16;
-        let mut ram = GuestRam::new(1 << 20);
-        let layout = PackedLayout::new(GuestAddr::new(0x1000), size);
-        let mut driver = PackedDriver::new(&mut ram, layout).unwrap();
-        let mut device = PackedDevice::new(layout);
-        for (n_read, n_write, drain) in ops {
-            let readable: Vec<SgSegment> = (0..n_read)
-                .map(|i| SgSegment::new(GuestAddr::new(0x8000 + (i as u64) * 256), 64))
-                .collect();
-            let writable: Vec<SgSegment> = (0..n_write)
-                .map(|i| SgSegment::new(GuestAddr::new(0xa000 + (i as u64) * 256), 64))
-                .collect();
-            let _ = driver.add_buf(&mut ram, &readable, &writable);
-            if drain {
-                while let Some(chain) = device.pop_avail(&ram).unwrap() {
-                    device.push_used(&mut ram, &chain, 0).unwrap();
-                }
-                while driver.poll_used(&ram).unwrap().is_some() {}
-            }
-        }
-        while let Some(chain) = device.pop_avail(&ram).unwrap() {
-            device.push_used(&mut ram, &chain, 0).unwrap();
-        }
-        while driver.poll_used(&ram).unwrap().is_some() {}
-        prop_assert_eq!(driver.num_free(), size);
-    }
-
-    /// A device walking rings filled with arbitrary garbage never
-    /// panics: it returns Ok(None), Ok(chain) or a typed error.
-    #[test]
-    fn fuzzed_rings_never_panic(garbage in prop::collection::vec(any::<u8>(), 256..2048)) {
+/// A device walking rings filled with arbitrary garbage never
+/// panics: it returns Ok(None), Ok(chain) or a typed error.
+#[test]
+fn fuzzed_rings_never_panic() {
+    prop::check("fuzzed_rings_never_panic", CASES, |rng| {
+        let garbage = prop::bytes(rng, 256..2048);
         let mut ram = GuestRam::new(1 << 20);
         let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 16);
         ram.write(GuestAddr::new(0x1000), &garbage).unwrap();
@@ -259,5 +187,5 @@ proptest! {
             // Both outcomes are acceptable; panicking is not.
             let _ = device.pop_avail(&ram);
         }
-    }
+    });
 }
