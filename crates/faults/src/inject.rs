@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
 
-use crate::plan::{FaultKind, FaultPlan, FaultSite};
+use crate::plan::{FaultKind, FaultPlan, FaultSite, MAX_FACTOR};
 use crate::retry::RetryPolicy;
 
 /// Telemetry component name for all fault/recovery spans.
@@ -442,7 +442,8 @@ pub fn blocking_until(site: FaultSite, now: SimTime) -> Option<SimTime> {
 }
 
 /// Combined latency multiplier from spike/brownout windows active at
-/// `now` for `site` (product of factors; `1.0` when clear). Records one
+/// `now` for `site` (product of factors, capped at [`MAX_FACTOR`] so
+/// stacked windows stay in range; `1.0` when clear). Records one
 /// affected operation per active window.
 pub fn latency_factor(site: FaultSite, now: SimTime) -> f64 {
     if !is_armed() {
@@ -460,7 +461,7 @@ pub fn latency_factor(site: FaultSite, now: SimTime) -> f64 {
         for key in hits {
             FaultStats::bump(&mut ctx.stats.injected, key, 1);
         }
-        factor
+        factor.min(MAX_FACTOR)
     })
 }
 
@@ -840,6 +841,20 @@ mod tests {
         assert_eq!(run(5), run(5));
         // Different seeds draw different jitter (overwhelmingly likely).
         assert_ne!(run(5).waited, run(6).waited);
+    }
+
+    #[test]
+    fn stacked_factors_are_capped() {
+        let spike = FaultEvent::factor(
+            us(0),
+            FaultSite::Pcie,
+            FaultKind::LatencySpike,
+            SimDuration::from_micros(100),
+            MAX_FACTOR,
+        );
+        arm(plan_with(vec![spike; 10]), 1);
+        assert_eq!(latency_factor(FaultSite::Pcie, us(50)), MAX_FACTOR);
+        disarm();
     }
 
     #[test]

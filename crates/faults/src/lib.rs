@@ -53,6 +53,6 @@ pub use inject::{
 };
 pub use plan::{
     backend_brownout, board_loss, canned, dma_timeout, link_flap, FaultEvent, FaultKind, FaultPlan,
-    FaultSite, PlanError, CANNED_PLAN_NAMES,
+    FaultSite, PlanError, CANNED_PLAN_NAMES, MAX_FACTOR,
 };
 pub use retry::RetryPolicy;

@@ -233,6 +233,17 @@ impl FaultEvent {
     }
 }
 
+/// The largest latency `factor` a plan may carry. The canned plans use
+/// 4 and 6; a larger one would push a single register hop past any
+/// scenario's horizon and saturate the clock arithmetic.
+pub const MAX_FACTOR: f64 = 1_000.0;
+
+/// Whether `factor` is a usable degradation multiplier: finite, above
+/// 1.0 and at most [`MAX_FACTOR`].
+fn factor_in_range(factor: f64) -> bool {
+    factor > 1.0 && factor <= MAX_FACTOR
+}
+
 /// Why a plan failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
@@ -277,7 +288,7 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if the kind is not valid at the site, or a factor kind
-    /// has `factor <= 1.0`.
+    /// has a factor outside `(1.0, MAX_FACTOR]`.
     pub fn push(&mut self, event: FaultEvent) -> &mut Self {
         assert!(
             event.kind.valid_at(event.site),
@@ -286,8 +297,8 @@ impl FaultPlan {
             event.site
         );
         assert!(
-            !event.kind.uses_factor() || event.factor > 1.0,
-            "{} needs factor > 1.0",
+            !event.kind.uses_factor() || factor_in_range(event.factor),
+            "{} needs a factor in (1.0, {MAX_FACTOR}]",
             event.kind
         );
         let pos = self
@@ -393,10 +404,10 @@ impl FaultPlan {
                 )));
             }
             let factor = match ev.get("factor").and_then(Json::as_f64) {
-                Some(f) if kind.uses_factor() && f > 1.0 => f,
+                Some(f) if kind.uses_factor() && factor_in_range(f) => f,
                 Some(_) if kind.uses_factor() => {
                     return Err(PlanError::Invalid(format!(
-                        "event {i}: factor must be > 1.0"
+                        "event {i}: factor must be > 1.0 and at most {MAX_FACTOR}"
                     )))
                 }
                 Some(_) | None if kind.uses_factor() => {
@@ -601,6 +612,32 @@ mod tests {
         ]}"#;
         let plan = FaultPlan::from_json(long).unwrap();
         assert_eq!(plan.horizon(), SimTime::from_micros(100_000_001));
+    }
+
+    #[test]
+    fn from_json_rejects_huge_and_infinite_factors() {
+        let plan = |factor: &str| {
+            FaultPlan::from_json(&format!(
+                r#"{{"name":"x","events":[{{"at_us":0,"site":"pcie","kind":"latency-spike","duration_us":1,"factor":{factor}}}]}}"#
+            ))
+        };
+        let too_big = PlanError::Invalid("event 0: factor must be > 1.0 and at most 1000".into());
+        for factor in ["1e300", "1e400", "1000.5"] {
+            assert_eq!(plan(factor), Err(too_big.clone()), "factor {factor}");
+        }
+        assert_eq!(plan("1000").unwrap().events()[0].factor, MAX_FACTOR);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a factor in (1.0, 1000]")]
+    fn infinite_factor_panics_on_push() {
+        FaultPlan::new("bad").push(event(
+            0,
+            FaultSite::Pcie,
+            FaultKind::LatencySpike,
+            10,
+            f64::INFINITY,
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! every recovery path leans on, over arbitrary policies and seeds) and
 //! for fault-plan parsing.
 
-use bmhive_faults::{canned, FaultPlan, RetryPolicy, CANNED_PLAN_NAMES};
+use bmhive_faults::{canned, FaultPlan, RetryPolicy, CANNED_PLAN_NAMES, MAX_FACTOR};
 use bmhive_sim::{prop, SimDuration, SimRng};
 
 const CASES: u64 = 256;
@@ -88,10 +88,18 @@ fn worst_case_total_bounds_every_schedule() {
 
 /// Fault-plan JSON is user input: any mutation of a canned plan either
 /// loads or fails with a typed error, and a plan that loads has a
-/// horizon.
+/// horizon and only finite factors within [`MAX_FACTOR`].
 #[test]
 fn mutated_plan_json_never_panics() {
-    const EXTREMES: [&str; 6] = ["1e17", "1e400", "-1", "18446744073709551616", "1e-400", "0"];
+    const EXTREMES: [&str; 7] = [
+        "1e17",
+        "1e300",
+        "1e400",
+        "-1",
+        "18446744073709551616",
+        "1e-400",
+        "0",
+    ];
     prop::check("mutated_plan_json_never_panics", CASES, |rng| {
         let name = rng.choose(&CANNED_PLAN_NAMES);
         let mut doc = canned(name).unwrap().to_json().into_bytes();
@@ -121,6 +129,13 @@ fn mutated_plan_json_never_panics() {
         let doc = String::from_utf8_lossy(&doc);
         if let Ok(plan) = FaultPlan::from_json(&doc) {
             let _ = plan.horizon();
+            for e in plan.events() {
+                assert!(
+                    e.factor.is_finite() && (1.0..=MAX_FACTOR).contains(&e.factor),
+                    "accepted factor {}",
+                    e.factor
+                );
+            }
         }
     });
 }

@@ -8,18 +8,18 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
+use crate::guest::GuestDriver;
 use crate::{netframe, volume};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
-use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport, StagingPool};
-use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
+use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport};
+use bmhive_mem::{GuestAddr, GuestRam};
 use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{
-    BlkRequestHeader, BlkRequestType, BlkStatus, DescChain, DeviceType, Feature, QueueLayout,
-    VirtioError, Virtqueue, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
+    BlkRequestType, BlkStatus, DescChain, DeviceType, Feature, VirtioError, Virtqueue,
 };
 use std::error::Error;
 use std::fmt;
@@ -133,50 +133,23 @@ pub struct BmGuestSession {
     base: GuestRam,
     net_dev: IoBondDevice,
     blk_dev: IoBondDevice,
-    net_rx_driver: VirtqueueDriver,
-    net_tx_driver: VirtqueueDriver,
-    blk_driver: VirtqueueDriver,
+    /// The guest kernel's virtio drivers, rings and buffers in `board`.
+    pub(crate) guest: GuestDriver,
     net_rx_backend: Virtqueue,
     net_tx_backend: Virtqueue,
     blk_backend: Virtqueue,
-    tx_pool: StagingPool,
-    rx_pool: StagingPool,
-    blk_pool: StagingPool,
     limits: InstanceLimits,
     /// Where the next recovery epoch's shadow rings go in base RAM
     /// (each reset rebuilds at a fresh region, like a fresh mmap in a
     /// restarted backend process).
     next_base_region: GuestAddr,
-    /// rx guest heads → their buffer slot, for reuse after delivery.
-    /// Slab indexed by head (`None` = not posted).
-    rx_posted: Vec<Option<bmhive_mem::SgList>>,
-    /// tx guest heads → their buffer slot. Slab indexed by head.
-    tx_posted: Vec<Option<bmhive_mem::SgList>>,
-    /// blk guest heads → their buffer slots. Slab indexed by head
-    /// (empty = not posted); completed slots keep their capacity.
-    blk_posted: Vec<Vec<bmhive_mem::SgList>>,
-    /// blk shadow-side completions pending backend processing:
-    /// shadow head → store completion time.
-    total_tx: u64,
-    total_rx: u64,
-    total_io: u64,
     /// Guest kicks skipped because the post landed inside the PMD's
     /// published EVENT_IDX poll window (the poller was going to see the
     /// descriptors anyway — §3.4.2's polling discipline).
     doorbells_suppressed: u64,
     /// Reused service-pass report (steady-state passes allocate nothing).
     svc_report: ServiceReport,
-    /// Reused readable-segment list for blk chain assembly.
-    blk_readable: Vec<SgSegment>,
-    /// Reused writable-segment list for blk chain assembly.
-    blk_writable: Vec<SgSegment>,
-    /// Reused staging-slot list for blk chain assembly; swaps with the
-    /// `blk_posted` slab so capacities circulate instead of reallocating.
-    blk_slots: Vec<bmhive_mem::SgList>,
 }
-
-/// Size of one posted rx buffer (hdr + MTU frame).
-const RX_BUF: u32 = 2048;
 
 /// Surfaces a latched escalation from a device's last service pass as a
 /// per-op error.
@@ -211,17 +184,8 @@ impl BmGuestSession {
     ) -> Self {
         let mut board = GuestRam::new(256 << 20);
         let mut base = GuestRam::new(256 << 20);
-
-        // Guest ring layouts in board RAM.
-        let rx_layout = QueueLayout::contiguous(GuestAddr::new(0x10_000), queue_size);
-        let tx_layout = QueueLayout::contiguous(
-            (rx_layout.used + rx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
-        let blk_layout = QueueLayout::contiguous(
-            (tx_layout.used + tx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
+        let guest = GuestDriver::new(&mut board, queue_size);
+        let [rx_layout, tx_layout, blk_layout] = guest.layouts();
 
         // IO-Bond devices with their frontends.
         let mut net_dev = IoBondDevice::new(
@@ -272,55 +236,22 @@ impl BmGuestSession {
         let net_tx_backend = Virtqueue::new(net_dev.shadow(TX_Q).expect("active").shadow_layout());
         let blk_backend = Virtqueue::new(blk_dev.shadow(0).expect("active").shadow_layout());
 
-        let net_rx_driver = VirtqueueDriver::new(&mut board, rx_layout).expect("rx ring");
-        let net_tx_driver = VirtqueueDriver::new(&mut board, tx_layout).expect("tx ring");
-        let blk_driver = VirtqueueDriver::new(&mut board, blk_layout).expect("blk ring");
-
-        // Guest-side buffer arenas in board RAM.
-        let tx_pool = StagingPool::new(GuestAddr::new(0x100_0000), 2 * u32::from(queue_size), 4096);
-        let rx_pool = StagingPool::new(
-            GuestAddr::new(0x200_0000),
-            2 * u32::from(queue_size),
-            RX_BUF,
-        );
-        let blk_pool = StagingPool::new(
-            GuestAddr::new(0x400_0000),
-            4 * u32::from(queue_size),
-            64 * 1024,
-        );
-
-        let mut session = BmGuestSession {
+        BmGuestSession {
             profile,
             mac,
             board,
             base,
             net_dev,
             blk_dev,
-            net_rx_driver,
-            net_tx_driver,
-            blk_driver,
+            guest,
             net_rx_backend,
             net_tx_backend,
             blk_backend,
-            tx_pool,
-            rx_pool,
-            blk_pool,
             limits,
             next_base_region,
-            rx_posted: (0..queue_size).map(|_| None).collect(),
-            tx_posted: (0..queue_size).map(|_| None).collect(),
-            blk_posted: (0..queue_size).map(|_| Vec::new()).collect(),
-            total_tx: 0,
-            total_rx: 0,
-            total_io: 0,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
-            blk_readable: Vec::new(),
-            blk_writable: Vec::new(),
-            blk_slots: Vec::new(),
-        };
-        session.replenish_rx().expect("initial rx buffers");
-        session
+        }
     }
 
     /// The guest's MAC address.
@@ -335,7 +266,7 @@ impl BmGuestSession {
 
     /// Packets sent / received / block ops completed so far.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.total_tx, self.total_rx, self.total_io)
+        self.guest.counters()
     }
 
     /// Guest kicks suppressed by the PMD's EVENT_IDX window so far.
@@ -429,19 +360,21 @@ impl BmGuestSession {
         }))
     }
 
-    /// Keeps the rx ring stocked with buffers, as a net driver's NAPI
-    /// refill does.
-    fn replenish_rx(&mut self) -> Result<(), SessionError> {
-        while self.net_rx_driver.num_free() > 0 {
-            let Some(buf) = self.rx_pool.alloc(u64::from(RX_BUF)) else {
-                break;
-            };
-            let head = self
-                .net_rx_driver
-                .add_buf(&mut self.board, &[], buf.segments())?;
-            self.rx_posted[usize::from(head)] = Some(buf);
+    /// Rings the doorbell for a post at `now` and returns when the kick
+    /// landed: one PCI write across the guest link (fault-aware: a link
+    /// flap stalls the kick, a spike stretches it) — unless the post
+    /// landed inside the PMD's published EVENT_IDX window (`kick` is
+    /// false), in which case the doorbell is suppressed and costs
+    /// nothing.
+    fn doorbell(&mut self, kick: bool, now: SimTime) -> SimTime {
+        if kick {
+            return now + self.profile.guest_link().register_access_at(now);
         }
-        Ok(())
+        self.doorbells_suppressed += 1;
+        if telemetry::is_enabled() {
+            telemetry::counter("bm.doorbells_suppressed", 1);
+        }
+        now
     }
 
     /// Sends one packet: writes it into board RAM, posts it on the tx
@@ -461,33 +394,9 @@ impl BmGuestSession {
         payload: &[u8],
         now: SimTime,
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
-        // Guest: build hdr + payload in board RAM.
-        let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
-        let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        // The buffer may span slots; the frame is written across it.
-        netframe::write_frame(&mut self.board, &buf, payload)?;
-        let old_avail = self.net_tx_driver.avail_idx();
-        let head = self
-            .net_tx_driver
-            .add_buf(&mut self.board, buf.segments(), &[])?;
-        self.tx_posted[usize::from(head)] = Some(buf);
-
-        // Kick: one PCI write across the guest link (fault-aware: a
-        // link flap stalls the kick, a spike stretches it) — unless the
-        // post landed inside the PMD's published EVENT_IDX window, in
-        // which case the doorbell is suppressed and costs nothing.
-        let kicked = if self
-            .net_tx_driver
-            .kick_needed_event_idx(&self.board, old_avail)?
-        {
-            now + self.profile.guest_link().register_access_at(now)
-        } else {
-            self.doorbells_suppressed += 1;
-            if telemetry::is_enabled() {
-                telemetry::counter("bm.doorbells_suppressed", 1);
-            }
-            now
-        };
+        // Guest: build hdr + payload in board RAM and post it.
+        let kick = self.guest.post_tx(&mut self.board, payload)?;
+        let kicked = self.doorbell(kick, now);
 
         // IO-Bond syncs the chain into the shadow ring.
         self.net_dev.service_into(
@@ -527,7 +436,8 @@ impl BmGuestSession {
             chain.readable.total_len(),
             "frame shorter than virtio-net header",
         )?;
-        let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, self.total_tx);
+        let (sent, _, _) = self.guest.counters();
+        let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, sent);
 
         // Rate limiting at the backend (identical for vm-guests).
         let admitted = self.limits.admit_packet(packet.wire_bytes(), seen);
@@ -551,12 +461,7 @@ impl BmGuestSession {
             .map(|c| c.at)
             .unwrap_or(admitted);
         // Guest reaps and frees the buffer.
-        while let Some((head, _)) = self.net_tx_driver.poll_used(&self.board)? {
-            if let Some(buf) = self.tx_posted[usize::from(head)].take() {
-                self.tx_pool.free(&buf);
-            }
-        }
-        self.total_tx += 1;
+        self.guest.reap_tx(&self.board)?;
         // The phase spans are recorded after the fact (every boundary
         // is only known once the exchange is priced), so error paths
         // above can never leave a span open.
@@ -648,24 +553,10 @@ impl BmGuestSession {
             .unwrap_or(now);
 
         // Guest interrupt handler reaps.
-        let mut delivered = None;
-        while let Some((head, len)) = self.net_rx_driver.poll_used(&self.board)? {
-            let buf = self
-                .rx_posted
-                .get_mut(usize::from(head))
-                .and_then(Option::take)
-                .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            delivered = Some(netframe::read_payload(
-                &self.board,
-                &buf,
-                u64::from(len),
-                "rx frame shorter than header",
-            )?);
-            self.rx_pool.free(&buf);
-        }
-        self.replenish_rx()?;
-        self.total_rx += 1;
-        let payload_out = delivered.ok_or(SessionError::BadRequest("no rx completion"))?;
+        let payload_out = self
+            .guest
+            .reap_rx(&mut self.board)?
+            .ok_or(SessionError::BadRequest("no rx completion"))?;
         if telemetry::is_enabled() {
             telemetry::span(
                 "bm",
@@ -705,66 +596,13 @@ impl BmGuestSession {
         now: SimTime,
     ) -> Result<(BlkStatus, Vec<u8>, IoTiming), SessionError> {
         // Guest: header buffer (16 B) + data + status byte.
-        let hdr_buf = self.blk_pool.alloc(16).ok_or(SessionError::NoBuffers)?;
-        let hdr = BlkRequestHeader::new(req, sector);
-        hdr_buf.scatter(&mut self.board, &hdr.to_bytes())?;
-        // Assemble the chain in the reused scratch lists (steady-state
-        // requests allocate nothing here).
-        let mut readable = std::mem::take(&mut self.blk_readable);
-        readable.clear();
-        readable.extend_from_slice(hdr_buf.segments());
-        let mut writable = std::mem::take(&mut self.blk_writable);
-        writable.clear();
-        let mut slots = std::mem::take(&mut self.blk_slots);
-        slots.clear();
-        slots.push(hdr_buf);
-
-        let is_read = matches!(req, BlkRequestType::In);
-        if is_read && read_len > 0 {
-            let buf = self
-                .blk_pool
-                .alloc(read_len)
-                .ok_or(SessionError::NoBuffers)?;
-            writable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        } else if !data.is_empty() {
-            let buf = self
-                .blk_pool
-                .alloc(data.len() as u64)
-                .ok_or(SessionError::NoBuffers)?;
-            buf.scatter(&mut self.board, data)?;
-            readable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        }
-        let status_buf = self.blk_pool.alloc(1).ok_or(SessionError::NoBuffers)?;
-        writable.extend_from_slice(status_buf.segments());
-        slots.push(status_buf);
-
-        let old_avail = self.blk_driver.avail_idx();
-        let head = self
-            .blk_driver
-            .add_buf(&mut self.board, &readable, &writable)?;
-        std::mem::swap(&mut self.blk_posted[usize::from(head)], &mut slots);
-        debug_assert!(slots.is_empty(), "blk slab slot reused while posted");
-        self.blk_slots = slots;
-        self.blk_readable = readable;
-        self.blk_writable = writable;
+        let kick = self
+            .guest
+            .post_blk(&mut self.board, req, sector, data, read_len)?;
 
         // Kick + sync to shadow (kick and PMD poll both take the
-        // fault-aware register paths). A post inside the PMD's
-        // published EVENT_IDX window suppresses the kick entirely.
-        let kicked = if self
-            .blk_driver
-            .kick_needed_event_idx(&self.board, old_avail)?
-        {
-            now + self.profile.guest_link().register_access_at(now)
-        } else {
-            self.doorbells_suppressed += 1;
-            if telemetry::is_enabled() {
-                telemetry::counter("bm.doorbells_suppressed", 1);
-            }
-            now
-        };
+        // fault-aware register paths).
+        let kicked = self.doorbell(kick, now);
         self.blk_dev.service_into(
             &mut self.board,
             &mut self.base,
@@ -815,37 +653,9 @@ impl BmGuestSession {
             .unwrap_or(io_done);
 
         // Guest reaps: read status byte and data.
-        let mut result = (BlkStatus::IoErr, Vec::new());
-        while let Some((h, _len)) = self.blk_driver.poll_used(&self.board)? {
-            let mut slots = std::mem::take(&mut self.blk_slots);
-            let posted = self
-                .blk_posted
-                .get_mut(usize::from(h))
-                .ok_or(SessionError::BadRequest("unknown blk head"))?;
-            std::mem::swap(posted, &mut slots);
-            if slots.is_empty() {
-                return Err(SessionError::BadRequest("unknown blk head"));
-            }
-            // Last slot is the status byte; for reads the middle slot is
-            // the data.
-            let mut status_byte = [0u8; 1];
-            slots
-                .last()
-                .expect("status slot")
-                .read_prefix(&self.board, &mut status_byte)?;
-            let data_out = if is_read && slots.len() == 3 {
-                slots[1].gather(&self.board)?
-            } else {
-                Vec::new()
-            };
-            result = (BlkStatus::from_wire(status_byte[0]), data_out);
-            for slot in &slots {
-                self.blk_pool.free(slot);
-            }
-            slots.clear();
-            self.blk_slots = slots;
-        }
-        self.total_io += 1;
+        let (status, data_out) = self
+            .guest
+            .reap_blk(&self.board, matches!(req, BlkRequestType::In))?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("bm", "blk_request", now);
             telemetry::span("bm", "kick", now, kicked.saturating_duration_since(now));
@@ -878,8 +688,8 @@ impl BmGuestSession {
             telemetry::timer("bm.blk_request", done.saturating_duration_since(now));
         }
         Ok((
-            result.0,
-            result.1,
+            status,
+            data_out,
             IoTiming {
                 submitted: now,
                 completed: done,

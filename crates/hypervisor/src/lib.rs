@@ -14,6 +14,10 @@
 //! * [`vm`] — [`VmGuestSession`]: the baseline — the same virtio rings
 //!   in one shared memory, a vhost-style backend, and the KVM cost
 //!   model (kick exits, interrupt injection, halt wakeups).
+//!
+//!   Both sessions hold the same private guest driver (`guest`): one
+//!   memory map, one set of rings and buffer arenas, one post/reap
+//!   path. They differ only in what sits behind the rings (§3.1).
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).
@@ -26,18 +30,17 @@
 //! `upgrade` (Orthus-style live bm-hypervisor upgrade), `migrate` (the
 //! on-demand-virtualization live-migration prototype, with its two
 //! documented drawbacks as first-class errors), `console` (the VGA
-//! console of §3.4.2), `precopy` (classic vm-guest live migration, for
-//! contrast), and `slowpath` (the undeployed tap-device test path,
-//! priced to show why it stayed undeployed).
+//! console of §3.4.2), and `slowpath` (the undeployed tap-device test
+//! path, priced to show why it stayed undeployed).
 
 pub mod bm;
 pub mod boot;
 pub mod console;
+mod guest;
 pub mod migrate;
 mod netframe;
 pub mod path;
 pub mod pmd;
-pub mod precopy;
 pub mod slowpath;
 pub mod upgrade;
 pub mod vm;
@@ -49,7 +52,6 @@ pub use console::{ConsoleServer, VgaConsole};
 pub use migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationError, MigrationPolicy};
 pub use path::{IoPath, PathPlatform};
 pub use pmd::BackendMode;
-pub use precopy::{PrecopyModel, PrecopyPlan};
 pub use slowpath::NetBackendPath;
 pub use upgrade::{BackendProcess, BackendState, UpgradeReport};
 pub use vm::VmGuestSession;

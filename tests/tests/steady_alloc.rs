@@ -11,8 +11,14 @@
 //! exactly as `repro bench` does (its alloc-metered run happens after
 //! the timing repeats).
 
+use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+use bmhive_cloud::limits::InstanceLimits;
+use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
+use bmhive_iobond::IoBondProfile;
+use bmhive_net::{MacAddr, PacketKind};
 use bmhive_sim::{EventQueue, SimRng, SimTime};
 use bmhive_telemetry::alloc::{self, CountingAlloc};
+use bmhive_virtio::BlkRequestType;
 
 // Each integration test binary links its own allocator; this is the
 // same installation line the `repro` binary uses.
@@ -125,84 +131,101 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
     );
 }
 
-/// One warmed bm-guest's per-op allocation counts. Each op allocates
-/// exactly the buffer it hands back and nothing else: DMA copies page
-/// to page, the blk backend parses the header in place, and read data
-/// is written straight from the volume pattern table into the chain.
+/// A guest session's four ops, in the order they are metered.
+#[derive(Clone, Copy)]
+enum SessionOp {
+    BlkWrite,
+    BlkRead,
+    NetSend,
+    NetReceive,
+}
+
+const BLOCK: usize = 16 * 1024;
+const FRAME: usize = 1400;
+
+/// A closure running one [`SessionOp`] on `$session` (a bm or a vm
+/// guest: their op signatures match) at the previous op's completion
+/// time, returning the bytes the op handed back.
+macro_rules! session_ops {
+    ($session:expr) => {{
+        let mut s = $session;
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 42);
+        let (block, frame) = (vec![7u8; BLOCK], vec![0xa5u8; FRAME]);
+        let mut now = SimTime::ZERO;
+        move |op: SessionOp| -> Vec<u8> {
+            let (out, t) = match op {
+                SessionOp::BlkWrite => {
+                    let req = BlkRequestType::Out;
+                    let (_, out, t) = s.blk_request(&mut store, req, 64, &block, 0, now).unwrap();
+                    (out, t)
+                }
+                SessionOp::BlkRead => {
+                    let (req, len) = (BlkRequestType::In, BLOCK as u64);
+                    let (_, out, t) = s.blk_request(&mut store, req, 64, &[], len, now).unwrap();
+                    (out, t)
+                }
+                SessionOp::NetSend => {
+                    let peer = MacAddr::for_guest(2);
+                    let (egress, t) = s.net_send(peer, PacketKind::Udp, &frame, now).unwrap();
+                    (egress.payload, t)
+                }
+                SessionOp::NetReceive => s.net_receive(&frame, now).unwrap(),
+            };
+            now = t.completed;
+            out
+        }
+    }};
+}
+
+/// Warms a guest session driven through `op`, then meters one op of
+/// each kind. Each op allocates exactly the buffer it hands back and
+/// nothing else: the shared guest driver keeps posted buffers in
+/// head-indexed slabs, DMA copies page to page, the blk backends parse
+/// the header in place, and read data is written straight from the
+/// volume pattern table into the chain.
+fn assert_warmed_ops_allocate_only_their_returned_buffers(
+    platform: &str,
+    op: &mut dyn FnMut(SessionOp) -> Vec<u8>,
+) {
+    use SessionOp::*;
+    // Warm-up: every scratch list, slab and staging slot reaches its
+    // steady-state footprint.
+    for _ in 0..200 {
+        assert!(op(BlkWrite).is_empty());
+        assert_eq!(op(BlkRead).len(), BLOCK);
+        assert_eq!(op(NetSend), [0xa5; FRAME]);
+        assert_eq!(op(NetReceive), [0xa5; FRAME]);
+    }
+    let metered = [BlkWrite, BlkRead, NetSend, NetReceive].map(|kind| {
+        let (out, allocs) = alloc::measure_allocs(|| op(kind));
+        (out.len(), allocs)
+    });
+    assert_eq!(
+        metered,
+        [(0, 0), (BLOCK, 1), (FRAME, 1), (FRAME, 1)],
+        "{platform}: (bytes returned, allocations) of a warmed blk write, \
+         blk read, net_send and net_receive"
+    );
+}
+
 #[test]
 fn warmed_bm_session_ops_allocate_only_their_returned_buffers() {
-    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
-    use bmhive_cloud::limits::InstanceLimits;
-    use bmhive_hypervisor::BmGuestSession;
-    use bmhive_iobond::IoBondProfile;
-    use bmhive_net::{MacAddr, PacketKind};
-    use bmhive_virtio::BlkRequestType;
-
-    const BLOCK: u64 = 16 * 1024;
-    let mut s = BmGuestSession::new(
+    let mut ops = session_ops!(BmGuestSession::new(
         IoBondProfile::fpga(),
         MacAddr::for_guest(1),
         64,
         InstanceLimits::unrestricted(),
-    );
-    let mut store = BlockStore::new(StorageClass::CloudSsd, 42);
-    let block = vec![7u8; BLOCK as usize];
-    let frame = vec![0xa5u8; 1400];
-    let peer = MacAddr::for_guest(2);
-    let mut now = SimTime::ZERO;
-    // Each op runs at the previous op's completion time.
-    let mut blk = |s: &mut BmGuestSession, now: &mut SimTime, req| {
-        let (data, read_len) = match req {
-            BlkRequestType::Out => (&block[..], 0),
-            _ => (&[][..], BLOCK),
-        };
-        let (_, out, t) = s
-            .blk_request(&mut store, req, 64, data, read_len, *now)
-            .unwrap();
-        *now = t.completed;
-        out
-    };
-    let send = |s: &mut BmGuestSession, now: &mut SimTime| {
-        let (egress, t) = s.net_send(peer, PacketKind::Udp, &frame, *now).unwrap();
-        *now = t.completed;
-        egress
-    };
-    let receive = |s: &mut BmGuestSession, now: &mut SimTime| {
-        let (back, t) = s.net_receive(&frame, *now).unwrap();
-        *now = t.completed;
-        back
-    };
-    // Warm-up: every scratch list, slab and staging slot reaches its
-    // steady-state footprint.
-    for _ in 0..200 {
-        blk(&mut s, &mut now, BlkRequestType::Out);
-        assert_eq!(
-            blk(&mut s, &mut now, BlkRequestType::In).len(),
-            BLOCK as usize
-        );
-        assert_eq!(send(&mut s, &mut now).payload, frame);
-        assert_eq!(receive(&mut s, &mut now), frame);
-    }
-    let (_, blk_write) = alloc::measure_allocs(|| blk(&mut s, &mut now, BlkRequestType::Out));
-    let (read, blk_read) = alloc::measure_allocs(|| blk(&mut s, &mut now, BlkRequestType::In));
-    let (sent, net_send) = alloc::measure_allocs(|| send(&mut s, &mut now));
-    let (received, net_receive) = alloc::measure_allocs(|| receive(&mut s, &mut now));
-    assert_eq!(read.len(), BLOCK as usize);
-    assert_eq!(
-        (sent.payload.len(), received.len()),
-        (frame.len(), frame.len())
-    );
-    assert_eq!(blk_write, 0, "a warmed blk write allocates nothing");
-    assert_eq!(
-        blk_read, 1,
-        "a warmed blk read allocates only the returned data"
-    );
-    assert_eq!(
-        net_send, 1,
-        "a warmed net_send allocates only the egress payload"
-    );
-    assert_eq!(
-        net_receive, 1,
-        "a warmed net_receive allocates only the delivered payload"
-    );
+    ));
+    assert_warmed_ops_allocate_only_their_returned_buffers("bm", &mut ops);
+}
+
+#[test]
+fn warmed_vm_session_ops_allocate_only_their_returned_buffers() {
+    let mut ops = session_ops!(VmGuestSession::new(
+        MacAddr::for_guest(1),
+        64,
+        InstanceLimits::unrestricted(),
+        7,
+    ));
+    assert_warmed_ops_allocate_only_their_returned_buffers("vm", &mut ops);
 }
