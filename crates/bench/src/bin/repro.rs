@@ -12,10 +12,8 @@
 //! cargo run -p bmhive-bench --release --bin repro -- sweep --jobs 8
 //! cargo run -p bmhive-bench --release --bin repro -- sweep --jobs 8 --shard 0/3 --out shard-0
 //! cargo run -p bmhive-bench --release --bin repro -- merge shard-0 shard-1 shard-2
-//! cargo run -p bmhive-bench --release --bin repro -- bench --out BENCH_results.json
 //! ```
 
-use bmhive_bench::harness::BenchReport;
 use bmhive_bench::merge;
 use bmhive_bench::sweep::{self, Shard, SweepSpec};
 use bmhive_faults as faults;
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
         Some("merge") => merge_main(&args[1..]),
-        Some("bench") => bench_main(&args[1..]),
         _ => repro_main(&args),
     }
 }
@@ -437,172 +434,6 @@ fn merge_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro bench`: time each experiment and emit/check the trajectory.
-fn bench_main(args: &[String]) -> ExitCode {
-    let mut seed = 1u64;
-    let mut repeats = 3u32;
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    let mut compare_out: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--repeat" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(r) => repeats = r,
-                None => {
-                    eprintln!("--repeat requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path.into()),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path.into()),
-                None => {
-                    eprintln!("--check requires a baseline JSON file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare-out" => match args.next() {
-                Some(path) => compare_out = Some(path.into()),
-                None => {
-                    eprintln!("--compare-out requires a file path (needs --check)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--tolerance" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("--tolerance requires a fraction, e.g. 0.25");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                print_bench_help();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown bench flag '{other}' (see repro bench --help)");
-                return ExitCode::FAILURE;
-            }
-            other => experiments.push(other.to_string()),
-        }
-    }
-    if experiments.is_empty() {
-        experiments = bmhive_bench::EXPERIMENT_IDS
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-    }
-
-    let baseline = match &check_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(doc) => match BenchReport::from_json(&doc) {
-                Ok(report) => Some(report),
-                Err(e) => {
-                    eprintln!("cannot parse --check {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read --check {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-
-    let report = match bmhive_bench::harness::run_bench(&experiments, seed, repeats) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!(
-        "{:<10} | {:>12} | {:>10} | {:>14} | {:>12} | {:>10} | {:>12} | {:>9}",
-        "experiment",
-        "wall ms",
-        "events",
-        "events/sec",
-        "allocs/ev",
-        "peak depth",
-        "suppressed",
-        "batch len"
-    );
-    for r in &report.results {
-        println!(
-            "{:<10} | {:>12.3} | {:>10} | {:>14.0} | {:>12.4} | {:>10.1} | {:>12} | {:>9.2}",
-            r.experiment,
-            r.wall_ns as f64 / 1e6,
-            r.events,
-            r.events_per_sec,
-            r.allocs_per_event,
-            r.peak_queue_depth,
-            r.doorbells_suppressed,
-            r.mean_batch_len
-        );
-    }
-    println!(
-        "{:<10} | {:>12.3} | (min of {} run(s), seed {})",
-        "total",
-        report.total_wall_ns() as f64 / 1e6,
-        report.repeats,
-        report.seed
-    );
-
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write --out {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[bench] wrote {}", path.display());
-    }
-
-    if compare_out.is_some() && baseline.is_none() {
-        eprintln!("--compare-out needs --check to provide the baseline");
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline) = &baseline {
-        if let Some(path) = &compare_out {
-            if let Err(e) = std::fs::write(path, report.comparison_table(baseline)) {
-                eprintln!("cannot write --compare-out {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[bench] wrote comparison table to {}", path.display());
-        }
-        let problems = report.check_against(baseline, tolerance);
-        if problems.is_empty() {
-            eprintln!(
-                "[bench] no regression vs {} at {:.0}% tolerance",
-                check_path.expect("checked above").display(),
-                tolerance * 100.0
-            );
-        } else {
-            for p in &problems {
-                eprintln!("[bench] REGRESSION: {p}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn parse_seed_list(list: &str) -> Result<Vec<u64>, ()> {
     let seeds: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
     match seeds {
@@ -656,7 +487,6 @@ fn print_help() {
     );
     println!("       repro sweep [...]   parallel (experiment x seed x plan) sweep (see repro sweep --help)");
     println!("       repro merge [...]   reassemble sharded sweep output (see repro merge --help)");
-    println!("       repro bench [...]   wall-clock benchmark trajectory (see repro bench --help)");
     println!();
     println!("  --seed N       seed for every stochastic experiment (default 1)");
     println!("  --jobs N       worker threads for host-sharded experiments (fleet_scale,");
@@ -709,26 +539,4 @@ fn print_merge_help() {
     println!("together must cover the whole matrix. The concatenated cell reports are");
     println!("printed to stdout in canonical order — byte-identical to `repro sweep");
     println!("--jobs 1` stdout for the same spec.");
-}
-
-fn print_bench_help() {
-    println!("repro bench — time each experiment and track the benchmark trajectory");
-    println!();
-    println!("USAGE: repro bench [--seed N] [--repeat R] [--out FILE] [--check FILE] [--compare-out FILE] [--tolerance F] [experiment ...]");
-    println!();
-    println!("  --seed N        seed for every experiment (default 1)");
-    println!(
-        "  --repeat R      untraced timing runs per experiment; the minimum is kept (default 3)"
-    );
-    println!("  --out FILE      write the report as JSON (e.g. BENCH_results.json)");
-    println!("  --check FILE    compare against a baseline report; per-experiment wall times are");
-    println!(
-        "                  normalized by the total-time ratio first, so a uniformly faster or"
-    );
-    println!("                  slower machine does not trip the check; events/sec and the");
-    println!("                  deterministic allocs/event count are gated the same way");
-    println!("  --compare-out FILE  write a before/after table vs the --check baseline");
-    println!(
-        "  --tolerance F   allowed per-experiment slowdown after normalization (default 0.25)"
-    );
 }

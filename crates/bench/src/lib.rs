@@ -5,7 +5,6 @@
 //! `cargo run -p bmhive-bench --bin repro` regenerates the entire
 //! evaluation. All experiments are deterministic in their seed.
 
-pub mod harness;
 pub mod merge;
 pub mod par;
 pub mod sweep;
@@ -1561,7 +1560,7 @@ pub fn run_experiment(id: &str, seed: u64) -> Option<String> {
 ///
 /// A warmed buffer (rendered once, then cleared — `clear` keeps
 /// capacity) keeps report growth out of an allocation count, which is
-/// what the bench harness meters for `allocs_per_event`.
+/// how `tests/steady_alloc.rs` meters each experiment's allocations.
 pub fn run_experiment_into(id: &str, seed: u64, out: &mut String) -> bool {
     match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
         Some((_, render)) => {

@@ -18,6 +18,13 @@
 //! 3. **Completeness** — the union of shard cells must be exactly
 //!    `0..total_cells`.
 //!
+//! Each manifest is also checked on its own as it is read: every
+//! integer must be a whole number in `0..=2^53` (the range the JSON
+//! reader represents exactly), `total_cells` must equal experiments ×
+//! seeds × plans, and the cells must be exactly the shard's stripe of
+//! `0..total_cells`. So a hostile or hand-edited manifest is a one-line
+//! error, and merging never allocates more than the listed cells.
+//!
 //! Because cells are byte-deterministic and the canonical cell order
 //! is a pure function of the spec (experiment-major, then seed, then
 //! plan — see [`SweepSpec::cells`]), concatenating the per-cell
@@ -39,6 +46,25 @@ pub const MANIFEST_FILE: &str = "shard.json";
 
 /// The manifest format version this build reads and writes.
 pub const MANIFEST_FORMAT: u64 = 1;
+
+/// 2^53. The JSON reader parses numbers as `f64`, which holds every
+/// integer up to here exactly and rounds some above it.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Reads `key` of `j` as a manifest integer: a finite, non-negative
+/// whole number no larger than 2^53 that fits `T`.
+fn int<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, MergeError> {
+    let n = j
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| MergeError::Manifest(format!("missing number '{key}'")))?;
+    if !(0.0..=MAX_EXACT_INT).contains(&n) || n.fract() != 0.0 {
+        return Err(MergeError::Manifest(format!(
+            "'{key}' must be an integer in 0..=2^53 (got {n})"
+        )));
+    }
+    T::try_from(n as u64).map_err(|_| MergeError::Manifest(format!("'{key}' {n} is too large")))
+}
 
 /// One cell a shard ran: its canonical index and the artifact stem its
 /// files are named with.
@@ -229,13 +255,7 @@ impl ShardManifest {
     /// Parses a manifest previously written by [`Self::to_json`].
     pub fn from_json(doc: &str) -> Result<Self, MergeError> {
         let json = json::parse(doc).map_err(|e| MergeError::Manifest(e.to_string()))?;
-        let num = |j: &Json, key: &str| -> Result<u64, MergeError> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| MergeError::Manifest(format!("missing number '{key}'")))
-        };
-        let format = num(&json, "format")?;
+        let format: u64 = int(&json, "format")?;
         if format != MANIFEST_FORMAT {
             return Err(MergeError::Manifest(format!(
                 "unsupported manifest format {format} (this build reads {MANIFEST_FORMAT})"
@@ -244,11 +264,8 @@ impl ShardManifest {
         let shard_obj = json
             .get("shard")
             .ok_or_else(|| MergeError::Manifest("missing 'shard'".into()))?;
-        let shard = Shard::new(
-            num(shard_obj, "index")? as usize,
-            num(shard_obj, "count")? as usize,
-        )
-        .map_err(|e| MergeError::Manifest(e.to_string()))?;
+        let shard = Shard::new(int(shard_obj, "index")?, int(shard_obj, "count")?)
+            .map_err(|e| MergeError::Manifest(e.to_string()))?;
         let str_list = |key: &str| -> Result<Vec<String>, MergeError> {
             json.get(key)
                 .and_then(Json::as_arr)
@@ -283,7 +300,7 @@ impl ShardManifest {
             .iter()
             .map(|j| {
                 Ok(ManifestCell {
-                    index: num(j, "index")? as usize,
+                    index: int(j, "index")?,
                     stem: j
                         .get("stem")
                         .and_then(Json::as_str)
@@ -292,7 +309,7 @@ impl ShardManifest {
                 })
             })
             .collect::<Result<Vec<_>, MergeError>>()?;
-        Ok(ShardManifest {
+        let manifest = ShardManifest {
             shard,
             spec_hash: json
                 .get("spec_hash")
@@ -306,9 +323,39 @@ impl ShardManifest {
                 .map(|p| if p == CLEAN { None } else { Some(p) })
                 .collect(),
             trace,
-            total_cells: num(&json, "total_cells")? as usize,
+            total_cells: int(&json, "total_cells")?,
             cells,
-        })
+        };
+        manifest.check_shape()?;
+        Ok(manifest)
+    }
+
+    /// Checks that the manifest describes itself consistently: its
+    /// `total_cells` is the spec's cell count, and its cells are
+    /// exactly the canonical indices its shard owns, in order.
+    fn check_shape(&self) -> Result<(), MergeError> {
+        let spec_cells = self
+            .experiments
+            .len()
+            .checked_mul(self.seeds.len())
+            .and_then(|n| n.checked_mul(self.plans.len()));
+        if spec_cells != Some(self.total_cells) {
+            return Err(MergeError::Manifest(format!(
+                "total_cells {} is not experiments x seeds x plans ({} x {} x {})",
+                self.total_cells,
+                self.experiments.len(),
+                self.seeds.len(),
+                self.plans.len()
+            )));
+        }
+        let stripe = (self.shard.index()..self.total_cells).step_by(self.shard.count());
+        if !self.cells.iter().map(|c| c.index).eq(stripe) {
+            return Err(MergeError::Manifest(format!(
+                "cells are not exactly shard {}'s stripe of {} cell(s)",
+                self.shard, self.total_cells
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -378,8 +425,10 @@ pub fn plan_merge(dirs: &[PathBuf]) -> Result<MergePlan, MergeError> {
         let path = dir.join(MANIFEST_FILE);
         let doc = std::fs::read_to_string(&path)
             .map_err(|e| MergeError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let manifest = ShardManifest::from_json(&doc)
-            .map_err(|e| MergeError::Manifest(format!("{}: {e}", path.display())))?;
+        let manifest = ShardManifest::from_json(&doc).map_err(|e| match e {
+            MergeError::Manifest(msg) => MergeError::Manifest(format!("{}: {msg}", path.display())),
+            other => other,
+        })?;
         manifests.push(manifest);
     }
 
@@ -414,48 +463,43 @@ pub fn plan_merge(dirs: &[PathBuf]) -> Result<MergePlan, MergeError> {
         }
     }
 
+    // Every manifest's cells are its stripe of `0..total` (checked on
+    // read), so once no index repeats, the shards cover the matrix iff
+    // they list `total` cells. Nothing here is sized by `total` itself.
     let total = first.total_cells;
-    let mut owner: Vec<Option<usize>> = vec![None; total];
-    let mut cells: Vec<Option<MergedCell>> = vec![None; total];
-    for (d, (dir, m)) in dirs.iter().zip(&manifests).enumerate() {
-        for cell in &m.cells {
-            if cell.index >= total {
-                return Err(MergeError::Manifest(format!(
-                    "{}: cell index {} out of range (total_cells {total})",
-                    dir.display(),
-                    cell.index
-                )));
-            }
-            if let Some(prev) = owner[cell.index] {
-                return Err(MergeError::Overlap {
-                    index: cell.index,
-                    dirs: (dirs[prev].display().to_string(), dir.display().to_string()),
-                });
-            }
-            owner[cell.index] = Some(d);
-            cells[cell.index] = Some(MergedCell {
+    let mut cells: Vec<MergedCell> = dirs
+        .iter()
+        .zip(&manifests)
+        .flat_map(|(dir, m)| {
+            m.cells.iter().map(|cell| MergedCell {
                 index: cell.index,
                 stem: cell.stem.clone(),
                 dir: dir.clone(),
-            });
-        }
-    }
-    let missing: Vec<usize> = cells
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_none())
-        .map(|(i, _)| i)
+            })
+        })
         .collect();
-    if let Some(&firstmiss) = missing.first() {
+    // Stable, so a doubly-owned cell names its directories in input order.
+    cells.sort_by_key(|c| c.index);
+    if let Some(pair) = cells.windows(2).find(|p| p[0].index == p[1].index) {
+        return Err(MergeError::Overlap {
+            index: pair[0].index,
+            dirs: (
+                pair[0].dir.display().to_string(),
+                pair[1].dir.display().to_string(),
+            ),
+        });
+    }
+    if cells.len() < total {
+        let first = (0..).zip(&cells).find(|(i, c)| c.index != *i);
         return Err(MergeError::Missing {
-            count: missing.len(),
-            first: firstmiss,
+            count: total - cells.len(),
+            first: first.map_or(cells.len(), |(i, _)| i),
         });
     }
     Ok(MergePlan {
         trace: first.trace,
         manifests,
-        cells: cells.into_iter().map(|c| c.expect("checked")).collect(),
+        cells,
     })
 }
 
@@ -552,5 +596,59 @@ mod tests {
             ShardManifest::from_json(&doc),
             Err(MergeError::Manifest(_))
         ));
+    }
+
+    /// The shard 1/3 manifest of [`spec`], with the first `old` in its
+    /// JSON replaced by `new`, parsed.
+    fn parse_with(old: &str, new: &str) -> Result<ShardManifest, MergeError> {
+        let doc = ShardManifest::for_shard(&spec(), Shard::new(1, 3).unwrap())
+            .unwrap()
+            .to_json();
+        assert!(doc.contains(old), "{old} not in {doc}");
+        ShardManifest::from_json(&doc.replacen(old, new, 1))
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_saturated() {
+        for (old, new) in [
+            (
+                "\"total_cells\": 8",
+                "\"total_cells\": 18446744073709551615",
+            ),
+            ("\"total_cells\": 8", "\"total_cells\": 1e20"),
+            ("\"total_cells\": 8", "\"total_cells\": -5"),
+            ("\"total_cells\": 8", "\"total_cells\": 1.5"),
+            ("\"index\": 1,", "\"index\": 18446744073709551615,"),
+            ("\"count\": 3", "\"count\": -5"),
+            ("\"format\": 1", "\"format\": 1.5"),
+        ] {
+            match parse_with(old, new) {
+                Err(MergeError::Manifest(msg)) => assert!(msg.contains("0..=2^53"), "{new}: {msg}"),
+                other => panic!("{new} was accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn total_cells_must_match_the_spec() {
+        match parse_with("\"total_cells\": 8", "\"total_cells\": 9") {
+            Err(MergeError::Manifest(msg)) => assert!(msg.contains("2 x 2 x 2"), "{msg}"),
+            other => panic!("a 9-cell total for a 2 x 2 x 2 spec was accepted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cells_outside_the_shard_stripe_are_rejected() {
+        // Shard 1/3 of 8 cells owns exactly {1, 4, 7}: move one cell,
+        // then relabel the shard (its first `{"index"` is the shard's).
+        for (old, new) in [
+            ("{\"index\": 4,", "{\"index\": 5,"),
+            ("{\"index\": 1,", "{\"index\": 0,"),
+        ] {
+            match parse_with(old, new) {
+                Err(MergeError::Manifest(msg)) => assert!(msg.contains("stripe"), "{msg}"),
+                other => panic!("{new} was accepted: {other:?}"),
+            }
+        }
     }
 }

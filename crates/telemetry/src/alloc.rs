@@ -184,9 +184,9 @@ pub fn dealloc_count() -> u64 {
 /// [`alloc_count`] delta across the call. Returns `(result, allocs)`;
 /// the count is 0 when no counting allocator is installed. Mirrors
 /// [`measure_peak`], but counts calls instead of bytes — the signal
-/// the steady-state (`allocs_per_event`) gate reads, where one retained
-/// warm buffer and one million recycled events look the same size-wise
-/// but differ by a million calls.
+/// the per-experiment allocation caps in `tests/steady_alloc.rs` read,
+/// where one retained warm buffer and one million recycled events look
+/// the same size-wise but differ by a million calls.
 pub fn measure_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let start = alloc_count();
     let result = f();

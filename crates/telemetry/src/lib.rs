@@ -82,8 +82,9 @@ thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     /// Running count of simulated events (I/O ops, packets, samples)
     /// the current thread's experiment processed. Drivers report in
-    /// bulk via [`add_events`]; the bench harness reads it from
-    /// [`Snapshot::sim_events`] to compute events-per-second.
+    /// bulk via [`add_events`]; it reaches readers as
+    /// [`Snapshot::sim_events`], part of the per-experiment event count
+    /// `tests/steady_alloc.rs` pins.
     static EVENT_TALLY: Cell<u64> = const { Cell::new(0) };
     static GLOBAL: RefCell<Global> = RefCell::new(Global {
         collector: Collector::new(DEFAULT_CAPACITY),

@@ -3,8 +3,9 @@
 //!
 //! All maps are `BTreeMap`s so iteration — and therefore every rendered
 //! report — is deterministic regardless of insertion order. Timers
-//! record into the same log-bucketed [`Histogram`] the benchmark
-//! harness uses, in microseconds (the unit the paper reports).
+//! record into the same log-bucketed [`Histogram`] the experiments
+//! report percentiles from, in microseconds (the unit the paper
+//! reports).
 
 use bmhive_sim::{Histogram, SimDuration};
 use std::collections::BTreeMap;

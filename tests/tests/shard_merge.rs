@@ -8,6 +8,9 @@
 
 use bmhive_bench::merge::{self, MergeError, ShardManifest};
 use bmhive_bench::sweep::{render_cell, run_sweep_shard, Shard, SweepSpec};
+use bmhive_faults::json::{self, Json};
+use bmhive_sim::prop;
+use bmhive_telemetry::export::json_escape;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -193,5 +196,127 @@ fn manifests_survive_a_disk_round_trip() {
         ShardManifest::for_shard(&spec, shard).expect("manifest")
     );
     assert_eq!(parsed.spec_hash, merge::spec_hash(&spec));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `j` as compact JSON.
+fn render_json(j: &Json) -> String {
+    let join = |items: Vec<String>| items.join(",");
+    match j {
+        Json::Null => "null".into(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(n) => n.to_string(),
+        Json::Str(s) => format!("\"{}\"", json_escape(s)),
+        Json::Arr(v) => format!("[{}]", join(v.iter().map(render_json).collect())),
+        Json::Obj(m) => format!(
+            "{{{}}}",
+            join(
+                m.iter()
+                    .map(|(k, v)| format!("\"{}\":{}", json_escape(k), render_json(v)))
+                    .collect()
+            )
+        ),
+    }
+}
+
+/// The path (object keys and array indices) of every value under `j`.
+fn member_paths(j: &Json, prefix: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+    let children: Vec<(String, &Json)> = match j {
+        Json::Obj(m) => m.iter().map(|(k, v)| (k.clone(), v)).collect(),
+        Json::Arr(v) => v
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i.to_string(), v))
+            .collect(),
+        _ => return,
+    };
+    for (step, child) in children {
+        prefix.push(step);
+        out.push(prefix.clone());
+        member_paths(child, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// The value at `path` under `j`.
+fn member<'a>(j: &'a mut Json, path: &[String]) -> &'a mut Json {
+    path.iter().fold(j, |j, step| match j {
+        Json::Obj(m) => m.get_mut(step).expect("path from member_paths"),
+        Json::Arr(v) => &mut v[step.parse::<usize>().expect("array index")],
+        _ => unreachable!("member_paths only descends into containers"),
+    })
+}
+
+#[test]
+fn fuzzed_manifests_are_rejected_without_panicking() {
+    // Seeds are left out of the numeric fields: they are only compared
+    // across shards, never used to size or index anything.
+    const NUMBERS: [f64; 7] = [0.0, 1.0, 4_294_967_296.0, u64::MAX as f64, 1e20, -1.0, 1.5];
+    const N: usize = 3;
+    let spec = reduced_matrix();
+    let root = scratch("fuzz");
+    // Manifests only: planning a merge reads no cell file.
+    let docs: Vec<String> = (0..N)
+        .map(|i| {
+            let shard = Shard::new(i, N).expect("valid shard");
+            ShardManifest::for_shard(&spec, shard)
+                .expect("manifest")
+                .to_json()
+        })
+        .collect();
+    let dirs: Vec<PathBuf> = (0..=N).map(|i| root.join(format!("dir-{i}"))).collect();
+    for (dir, doc) in dirs.iter().zip(&docs) {
+        std::fs::create_dir_all(dir).expect("shard dir");
+        std::fs::write(dir.join(merge::MANIFEST_FILE), doc).expect("manifest");
+    }
+    std::fs::create_dir_all(&dirs[N]).expect("fuzz dir");
+    merge::plan_merge(&dirs[..N]).expect("the unfuzzed shards merge");
+
+    prop::check(
+        "fuzzed_manifests_are_rejected_without_panicking",
+        512,
+        |rng| {
+            let victim = rng.below(N as u64) as usize;
+            let doc = &docs[victim];
+            let tree = json::parse(doc).expect("valid manifest");
+            let mut paths = Vec::new();
+            member_paths(&tree, &mut Vec::new(), &mut paths);
+            let mut fuzzed = tree.clone();
+            let bad = match rng.below(3) {
+                0 => {
+                    let numeric: Vec<&Vec<String>> = paths
+                        .iter()
+                        .filter(|p| {
+                            p[0] != "seeds" && matches!(member(&mut fuzzed, p), Json::Num(_))
+                        })
+                        .collect();
+                    let path = rng.choose(&numeric);
+                    *member(&mut fuzzed, path) = Json::Num(*rng.choose(&NUMBERS));
+                    if fuzzed == tree {
+                        return; // the value was rewritten to itself
+                    }
+                    render_json(&fuzzed)
+                }
+                1 => {
+                    let (last, parent) = rng.choose(&paths).split_last().expect("non-empty path");
+                    match member(&mut fuzzed, parent) {
+                        Json::Obj(m) => drop(m.remove(last)),
+                        Json::Arr(v) => drop(v.remove(last.parse::<usize>().expect("index"))),
+                        _ => unreachable!("a path's parent is a container"),
+                    }
+                    render_json(&fuzzed)
+                }
+                // Cut before the closing brace, so the document never parses.
+                _ => doc[..rng.below(doc.trim_end().len() as u64) as usize].to_string(),
+            };
+            std::fs::write(dirs[N].join(merge::MANIFEST_FILE), &bad).expect("fuzzed manifest");
+            let mut set = dirs[..N].to_vec();
+            set[victim] = dirs[N].clone();
+            assert!(
+                merge::plan_merge(&set).is_err(),
+                "shard {victim}'s manifest was accepted after fuzzing:\n{bad}"
+            );
+        },
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
