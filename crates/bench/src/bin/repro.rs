@@ -29,6 +29,37 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: telemetry::alloc::CountingAlloc = telemetry::alloc::CountingAlloc::system();
 
+/// `out!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `outln!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that has gone away (`repro | head -1`)
+/// wants no more output, so the run stops there, quietly and
+/// successfully; any other write error is a one-line error.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -154,8 +185,8 @@ fn repro_main(args: &[String]) -> ExitCode {
             continue;
         }
         let text = bmhive_bench::run_experiment(id, seed).expect("known id");
-        println!("======== {id} ========");
-        println!("{text}");
+        outln!("======== {id} ========");
+        outln!("{text}");
         if let Some(dir) = &out_dir {
             let txt = dir.join(format!("{id}.txt"));
             if let Err(e) = std::fs::write(&txt, &text) {
@@ -173,8 +204,8 @@ fn repro_main(args: &[String]) -> ExitCode {
 
     if fault_plan.is_some() {
         let stats = faults::disarm().expect("armed above");
-        println!("======== fault stats ========");
-        print!("{}", stats.to_text());
+        outln!("======== fault stats ========");
+        out!("{}", stats.to_text());
         if let Some(dir) = &out_dir {
             let path = dir.join("fault_stats.json");
             if let Err(e) = std::fs::write(&path, stats.to_json()) {
@@ -201,13 +232,13 @@ fn repro_main(args: &[String]) -> ExitCode {
             );
         }
         if metrics {
-            println!("======== latency attribution ========");
-            print!(
+            outln!("======== latency attribution ========");
+            out!(
                 "{}",
                 telemetry::Attribution::from_events(&snap.events).to_text()
             );
-            println!("======== metrics ========");
-            print!("{}", snap.registry.to_text());
+            outln!("======== metrics ========");
+            out!("{}", snap.registry.to_text());
         }
         telemetry::set_enabled(false);
     }
@@ -256,8 +287,12 @@ fn sweep_main(args: &[String]) -> ExitCode {
             },
             "--seeds" => match args.next().map(|s| parse_seed_list(&s)) {
                 Some(Ok(seeds)) => spec.seeds = seeds,
-                _ => {
-                    eprintln!("--seeds requires a comma-separated integer list, e.g. 1,2,3,4");
+                Some(Err(e)) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+                None => {
+                    eprintln!("{SEEDS_USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -319,7 +354,7 @@ fn sweep_main(args: &[String]) -> ExitCode {
     let wall = start.elapsed();
 
     for (_, out) in &outputs {
-        print!("{}", sweep::render_cell(out));
+        out!("{}", sweep::render_cell(out));
     }
     if let Some(dir) = &out_dir {
         match shard {
@@ -411,7 +446,7 @@ fn merge_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{combined}");
+    out!("{combined}");
     if let Some(dir) = &out_dir {
         if let Err(e) = plan.write_combined(dir) {
             eprintln!("{e}");
@@ -434,11 +469,19 @@ fn merge_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_seed_list(list: &str) -> Result<Vec<u64>, ()> {
-    let seeds: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-    match seeds {
-        Ok(seeds) if !seeds.is_empty() => Ok(seeds),
-        _ => Err(()),
+const SEEDS_USAGE: &str = "--seeds requires a comma-separated integer list, e.g. 1,2,3,4";
+
+/// Parses `--seeds`. A seed above 2^53 is refused: a shard manifest
+/// could not record it exactly.
+fn parse_seed_list(list: &str) -> Result<Vec<u64>, String> {
+    let seeds: Vec<u64> = list
+        .split(',')
+        .map(|s| s.trim().parse())
+        .collect::<Result<_, _>>()
+        .map_err(|_| SEEDS_USAGE.to_string())?;
+    match seeds.iter().find(|&&s| s > merge::MAX_EXACT_INT) {
+        Some(s) => Err(format!("--seeds: seed {s} is above 2^53")),
+        None => Ok(seeds),
     }
 }
 
@@ -480,63 +523,63 @@ fn experiment_json(id: &str, seed: u64, text: &str) -> String {
 }
 
 fn print_help() {
-    println!("repro — regenerate the BM-Hive paper's tables and figures");
-    println!();
-    println!(
+    outln!("repro — regenerate the BM-Hive paper's tables and figures");
+    outln!();
+    outln!(
         "USAGE: repro [--seed N] [--jobs N] [--out DIR] [--trace FILE] [--metrics] [--faults PLAN] [experiment ...]"
     );
-    println!("       repro sweep [...]   parallel (experiment x seed x plan) sweep (see repro sweep --help)");
-    println!("       repro merge [...]   reassemble sharded sweep output (see repro merge --help)");
-    println!();
-    println!("  --seed N       seed for every stochastic experiment (default 1)");
-    println!("  --jobs N       worker threads for host-sharded experiments (fleet_scale,");
-    println!("                 region_census); output is byte-identical for any N (default 1)");
-    println!("  --out DIR      write each experiment as DIR/<id>.txt + DIR/<id>.json");
-    println!("  --trace FILE   record a virtual-time telemetry trace of the run and");
-    println!("                 write it as Chrome trace_event JSON (chrome://tracing)");
-    println!("  --metrics      print the latency attribution and metrics registry");
-    println!("  --faults PLAN  arm a fault plan for the whole run: a canned name");
-    println!("                 (link-flap, dma-timeout, backend-brownout, board-loss)");
-    println!("                 or a JSON plan file; prints the fault stats at the end");
-    println!("                 (and writes DIR/fault_stats.json with --out).");
-    println!("                 Pairs naturally with the 'faults' experiment.");
-    println!();
-    println!("experiments: table1 table2 fig1 table3 fig7 fig8 fig9 fig10 fig11");
-    println!("             fig12 fig13 fig14 fig15 fig16 cost nested iobond asic offload sgx");
-    println!("             trading faults traffic_policies traffic_isolation fleet_scale");
-    println!("             region_census");
+    outln!("       repro sweep [...]   parallel (experiment x seed x plan) sweep (see repro sweep --help)");
+    outln!("       repro merge [...]   reassemble sharded sweep output (see repro merge --help)");
+    outln!();
+    outln!("  --seed N       seed for every stochastic experiment (default 1)");
+    outln!("  --jobs N       worker threads for host-sharded experiments (fleet_scale,");
+    outln!("                 region_census); output is byte-identical for any N (default 1)");
+    outln!("  --out DIR      write each experiment as DIR/<id>.txt + DIR/<id>.json");
+    outln!("  --trace FILE   record a virtual-time telemetry trace of the run and");
+    outln!("                 write it as Chrome trace_event JSON (chrome://tracing)");
+    outln!("  --metrics      print the latency attribution and metrics registry");
+    outln!("  --faults PLAN  arm a fault plan for the whole run: a canned name");
+    outln!("                 (link-flap, dma-timeout, backend-brownout, board-loss)");
+    outln!("                 or a JSON plan file; prints the fault stats at the end");
+    outln!("                 (and writes DIR/fault_stats.json with --out).");
+    outln!("                 Pairs naturally with the 'faults' experiment.");
+    outln!();
+    outln!("experiments: table1 table2 fig1 table3 fig7 fig8 fig9 fig10 fig11");
+    outln!("             fig12 fig13 fig14 fig15 fig16 cost nested iobond asic offload sgx");
+    outln!("             trading faults traffic_policies traffic_isolation fleet_scale");
+    outln!("             region_census");
 }
 
 fn print_sweep_help() {
-    println!("repro sweep — run the (experiment x seed x fault-plan) cross product in parallel");
-    println!();
-    println!("USAGE: repro sweep [--jobs N] [--seeds LIST] [--plans LIST] [--shard I/N] [--trace] [--out DIR] [experiment ...]");
-    println!();
-    println!("  --jobs N       worker threads, at least 1 (output is byte-identical for any N)");
-    println!("  --seeds LIST   comma-separated seeds (default 1,2,3,4)");
-    println!("  --plans LIST   comma-separated plan names/files; 'clean' = no faults,");
-    println!("                 'all' = clean + every canned plan (the default)");
-    println!("  --shard I/N    run only the cells whose canonical index is congruent to I");
-    println!("                 mod N (0 <= I < N); requires --out, where a shard.json");
-    println!("                 manifest is written for `repro merge`. Run every shard of");
-    println!("                 the same spec (anywhere), then merge the directories.");
-    println!("  --trace        record a chrome trace per cell (requires --out)");
-    println!("  --out DIR      write DIR/<exp>-s<seed>-<plan>.txt (+ .trace.json with --trace)");
-    println!();
-    println!("Cells print in deterministic (experiment, seed, plan) order regardless of --jobs.");
+    outln!("repro sweep — run the (experiment x seed x fault-plan) cross product in parallel");
+    outln!();
+    outln!("USAGE: repro sweep [--jobs N] [--seeds LIST] [--plans LIST] [--shard I/N] [--trace] [--out DIR] [experiment ...]");
+    outln!();
+    outln!("  --jobs N       worker threads, at least 1 (output is byte-identical for any N)");
+    outln!("  --seeds LIST   comma-separated seeds (default 1,2,3,4)");
+    outln!("  --plans LIST   comma-separated plan names/files; 'clean' = no faults,");
+    outln!("                 'all' = clean + every canned plan (the default)");
+    outln!("  --shard I/N    run only the cells whose canonical index is congruent to I");
+    outln!("                 mod N (0 <= I < N); requires --out, where a shard.json");
+    outln!("                 manifest is written for `repro merge`. Run every shard of");
+    outln!("                 the same spec (anywhere), then merge the directories.");
+    outln!("  --trace        record a chrome trace per cell (requires --out)");
+    outln!("  --out DIR      write DIR/<exp>-s<seed>-<plan>.txt (+ .trace.json with --trace)");
+    outln!();
+    outln!("Cells print in deterministic (experiment, seed, plan) order regardless of --jobs.");
 }
 
 fn print_merge_help() {
-    println!("repro merge — reassemble a sharded sweep, byte-identical to the serial run");
-    println!();
-    println!("USAGE: repro merge [--out DIR] SHARD_DIR...");
-    println!();
-    println!("  --out DIR      also copy every cell's files into DIR (the combined");
-    println!("                 directory a whole-matrix `sweep --out` would have written)");
-    println!();
-    println!("Validates the shard.json manifests first: every shard must come from the");
-    println!("same spec (hash + field check), no cell may appear twice, and the shards");
-    println!("together must cover the whole matrix. The concatenated cell reports are");
-    println!("printed to stdout in canonical order — byte-identical to `repro sweep");
-    println!("--jobs 1` stdout for the same spec.");
+    outln!("repro merge — reassemble a sharded sweep, byte-identical to the serial run");
+    outln!();
+    outln!("USAGE: repro merge [--out DIR] SHARD_DIR...");
+    outln!();
+    outln!("  --out DIR      also copy every cell's files into DIR (the combined");
+    outln!("                 directory a whole-matrix `sweep --out` would have written)");
+    outln!();
+    outln!("Validates the shard.json manifests first: every shard must come from the");
+    outln!("same spec (hash + field check), no cell may appear twice, and the shards");
+    outln!("together must cover the whole matrix. The concatenated cell reports are");
+    outln!("printed to stdout in canonical order — byte-identical to `repro sweep");
+    outln!("--jobs 1` stdout for the same spec.");
 }

@@ -47,18 +47,24 @@ pub const MANIFEST_FILE: &str = "shard.json";
 /// The manifest format version this build reads and writes.
 pub const MANIFEST_FORMAT: u64 = 1;
 
-/// 2^53. The JSON reader parses numbers as `f64`, which holds every
-/// integer up to here exactly and rounds some above it.
-const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+/// 2^53, the largest integer a manifest records. The JSON reader
+/// parses numbers as `f64`, which holds every integer up to here
+/// exactly and rounds some above it.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
-/// Reads `key` of `j` as a manifest integer: a finite, non-negative
-/// whole number no larger than 2^53 that fits `T`.
+/// Reads `key` of `j` as a manifest integer (see [`whole`]).
 fn int<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, MergeError> {
     let n = j
         .get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| MergeError::Manifest(format!("missing number '{key}'")))?;
-    if !(0.0..=MAX_EXACT_INT).contains(&n) || n.fract() != 0.0 {
+    whole(n, key)
+}
+
+/// `n`, read from `key`, as a manifest integer: a finite, non-negative
+/// whole number no larger than 2^53 that fits `T`.
+fn whole<T: TryFrom<u64>>(n: f64, key: &str) -> Result<T, MergeError> {
+    if !(0.0..=MAX_EXACT_INT as f64).contains(&n) || n.fract() != 0.0 {
         return Err(MergeError::Manifest(format!(
             "'{key}' must be an integer in 0..=2^53 (got {n})"
         )));
@@ -285,8 +291,8 @@ impl ShardManifest {
             .iter()
             .map(|j| {
                 j.as_f64()
-                    .map(|n| n as u64)
                     .ok_or_else(|| MergeError::Manifest("non-number in 'seeds'".into()))
+                    .and_then(|n| whole(n, "seeds"))
             })
             .collect::<Result<Vec<u64>, _>>()?;
         let trace = match json.get("trace") {
@@ -621,6 +627,9 @@ mod tests {
             ("\"index\": 1,", "\"index\": 18446744073709551615,"),
             ("\"count\": 3", "\"count\": -5"),
             ("\"format\": 1", "\"format\": 1.5"),
+            ("\"seeds\": [1", "\"seeds\": [-5"),
+            ("\"seeds\": [1", "\"seeds\": [1.5"),
+            ("\"seeds\": [1", "\"seeds\": [9007199254740994"),
         ] {
             match parse_with(old, new) {
                 Err(MergeError::Manifest(msg)) => assert!(msg.contains("0..=2^53"), "{new}: {msg}"),

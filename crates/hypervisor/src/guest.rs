@@ -342,6 +342,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "freed twice")]
+    fn guest_arena_double_free_panics_after_traffic() {
+        let (mut bm, _) = sessions();
+        let mut store = BlockStore::new(StorageClass::LocalSsd, 1);
+        let mut t = SimTime::ZERO;
+        for i in 0..16usize {
+            let payload = vec![i as u8; 100 + 97 * i];
+            t = bm
+                .net_send(MacAddr::for_guest(2), PacketKind::Udp, &payload, t)
+                .unwrap()
+                .1
+                .completed;
+            t = bm.net_receive(&payload, t).unwrap().1.completed;
+            let (_, _, timing) = bm
+                .blk_request(
+                    &mut store,
+                    BlkRequestType::In,
+                    0,
+                    &[],
+                    4096 * (i as u64 + 1),
+                    t,
+                )
+                .unwrap();
+            t = timing.completed;
+        }
+        assert_at_rest(&bm.guest, "bm");
+        let guest = &mut bm.guest;
+        let (tx, blk) = (
+            guest.tx_pool.alloc(10).unwrap(),
+            guest.blk_pool.alloc(10).unwrap(),
+        );
+        guest.tx_pool.free(&tx);
+        guest.blk_pool.free(&blk);
+        guest.blk_pool.free(&blk);
+    }
+
+    #[test]
     fn failed_blk_requests_return_every_slot() {
         let (mut bm, mut vm) = sessions();
         let mut store = BlockStore::new(StorageClass::LocalSsd, 1);

@@ -9,6 +9,10 @@ use bmhive_mem::{GuestAddr, SgList};
 
 /// A fixed-slot allocator over a region of base memory.
 ///
+/// Free slots are a LIFO stack; a per-slot `is_free` map, cleared by
+/// [`alloc`](Self::alloc) and set by [`free`](Self::free), lets `free`
+/// catch a double free in constant time.
+///
 /// # Example
 ///
 /// ```
@@ -25,6 +29,8 @@ pub struct StagingPool {
     base: GuestAddr,
     slot_size: u32,
     free_slots: Vec<u32>,
+    /// `is_free[slot]` ⇔ `slot` is on `free_slots`.
+    is_free: Vec<bool>,
     total_slots: u32,
 }
 
@@ -42,6 +48,7 @@ impl StagingPool {
             base,
             slot_size,
             free_slots: (0..slots).rev().collect(),
+            is_free: vec![true; slots as usize],
             total_slots: slots,
         }
     }
@@ -90,6 +97,7 @@ impl StagingPool {
         let mut remaining = bytes;
         for _ in 0..needed {
             let slot = self.free_slots.pop().expect("checked length");
+            self.is_free[slot as usize] = false;
             let take = remaining.min(u64::from(self.slot_size)) as u32;
             sg.push(bmhive_mem::SgSegment::new(self.slot_addr(slot), take));
             remaining -= u64::from(take);
@@ -110,10 +118,9 @@ impl StagingPool {
                 "free: segment outside pool"
             );
             let slot = self.slot_of(seg.addr);
-            assert!(
-                !self.free_slots.contains(&slot),
-                "free: slot {slot} freed twice"
-            );
+            let is_free = &mut self.is_free[slot as usize];
+            assert!(!*is_free, "free: slot {slot} freed twice");
+            *is_free = true;
             self.free_slots.push(slot);
         }
     }
@@ -186,6 +193,23 @@ mod tests {
         let sg = p.alloc(10).unwrap();
         p.free(&sg);
         p.free(&sg);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 2 freed twice")]
+    fn double_free_panics_after_interleaved_cycles() {
+        let mut p = pool();
+        let a = p.alloc(1500).unwrap(); // slots 0, 1
+        let b = p.alloc(10).unwrap(); // slot 2
+        p.free(&a);
+        let c = p.alloc(2048).unwrap(); // slots 1, 0 again
+        p.free(&b);
+        let d = p.alloc(2000).unwrap(); // slots 2, 3
+        assert_eq!(p.free_count(), 0);
+        p.free(&c);
+        p.free(&d);
+        assert_eq!(p.free_count(), 4);
+        p.free(&b);
     }
 
     #[test]

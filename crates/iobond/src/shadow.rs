@@ -741,6 +741,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "freed twice")]
+    fn staging_double_free_panics_after_interleaved_cycles() {
+        // Two chains in flight, completed in reverse order, per round:
+        // the pool's slots are taken and returned out of order.
+        let mut r = rig(8, 16);
+        let mut completions = Vec::new();
+        for round in 0..8 {
+            for i in 0..2 {
+                let addr = GuestAddr::new(0x8000 + i * 0x2000);
+                r.board.fill(addr, 5000, round as u8).unwrap();
+                r.guest_driver
+                    .add_buf(&mut r.board, &[SgSegment::new(addr, 5000)], &[])
+                    .unwrap();
+            }
+            let now = SimTime::from_micros(round);
+            r.shadow.sync_to_shadow(&r.board, &mut r.base, now).unwrap();
+            let first = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+            let second = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+            for chain in [second, first] {
+                r.backend_vq.push_used(&mut r.base, chain.head, 0).unwrap();
+                r.shadow
+                    .sync_from_shadow(&mut r.board, &r.base, now, &mut completions)
+                    .unwrap();
+            }
+            while r.guest_driver.poll_used(&r.board).unwrap().is_some() {}
+        }
+        assert_eq!(r.shadow.inflight_count(), 0);
+        assert_eq!(r.shadow.pool.free_count(), 16);
+        let slot = r.shadow.pool.alloc(1).unwrap();
+        r.shadow.pool.free(&slot);
+        r.shadow.pool.free(&slot);
+    }
+
+    #[test]
     fn pool_exhaustion_defers_without_loss() {
         // Pool with room for exactly one chain (2 slots: payload+table).
         let mut r = rig(8, 2);

@@ -1,53 +1,61 @@
 //! Sparse guest physical memory.
+//!
+//! Pages live in a two-level direct-indexed page table: a directory
+//! with one entry per 2 MiB granule, each pointing at a leaf of 512
+//! optional 4 KiB pages. Finding a page is two array indexings, with no
+//! hashing and no probing, so a ring field or a descriptor costs one
+//! constant-time lookup.
 
 use crate::addr::GuestAddr;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT; // 4 KiB
+/// log2 of the pages per leaf: one leaf covers a 2 MiB granule.
+const LEAF_SHIFT: u64 = 9;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
+
+type Page = [u8; PAGE_SIZE as usize];
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
 /// What a never-written page reads as.
-static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 
-/// Multiplicative (Fibonacci) hash of a page number.
+/// The resident pages of one [`GuestRam`], indexed by page number.
 ///
-/// Every ring field access and every page of every copy does one page
-/// lookup, so SipHash's DoS resistance — pointless for keys the
-/// simulator itself generates — was a measurable share of each access.
-/// A product with an odd constant is well mixed only in its high bits,
-/// so `finish` rotates them down into the low bits the table indexes
-/// buckets with; page numbers at a power-of-two stride (one page per
-/// staging slot) then still spread across buckets. The map is only
-/// probed (`get`/`entry`/`len`), so its iteration order is never
-/// observed.
-#[derive(Debug, Default, Clone, Copy)]
-struct PageHasher(u64);
-
-impl PageHasher {
-    /// 2^64 / φ, rounded to odd.
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The directory grows only to the highest granule ever written, so
+/// creating a 64 GiB memory allocates nothing and reads never grow it;
+/// at most it costs 8 bytes per 2 MiB (256 KiB for 64 GiB).
+#[derive(Debug, Clone, Default)]
+struct PageTable {
+    dir: Vec<Option<Box<Leaf>>>,
+    resident: usize,
 }
 
-impl Hasher for PageHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
+impl PageTable {
+    /// The page numbered `page`, if it was ever written.
+    #[inline]
+    fn get(&self, page: u64) -> Option<&Page> {
+        let leaf = self.dir.get((page >> LEAF_SHIFT) as usize)?.as_deref()?;
+        leaf[page as usize & (LEAF_PAGES - 1)].as_deref()
+    }
+
+    /// The page numbered `page`, made resident (zeroed) if it was not.
+    #[inline]
+    fn get_mut(&mut self, page: u64) -> &mut Page {
+        let granule = (page >> LEAF_SHIFT) as usize;
+        if granule >= self.dir.len() {
+            self.dir.resize_with(granule + 1, || None);
         }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(Self::K);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+        let leaf = self.dir[granule].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        let slot = &mut leaf[page as usize & (LEAF_PAGES - 1)];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
     }
 }
-
-type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>;
 
 /// Errors returned by [`GuestRam`] accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +87,13 @@ impl Error for MemError {}
 
 /// A byte-addressable guest physical memory.
 ///
-/// Pages are allocated lazily, so a 64 GiB compute board costs only what
-/// the guest actually touches. Unwritten memory reads as zero, matching
-/// freshly-powered-on DRAM handed to a bm-guest after the previous
-/// tenant's board is scrubbed.
+/// Pages are allocated lazily, on first write, so a 64 GiB compute
+/// board costs only what the guest actually touches (plus one 4 KiB
+/// leaf per touched 2 MiB granule). Unwritten memory reads as zero,
+/// matching freshly-powered-on DRAM handed to a bm-guest after the
+/// previous tenant's board is scrubbed. An integer access that lies
+/// inside one page — every ring field — is one bounds check, one page
+/// lookup and a fixed-size load or store.
 ///
 /// # Example
 ///
@@ -97,7 +108,7 @@ impl Error for MemError {}
 #[derive(Debug, Clone)]
 pub struct GuestRam {
     size: u64,
-    pages: PageMap,
+    pages: PageTable,
 }
 
 impl GuestRam {
@@ -110,7 +121,7 @@ impl GuestRam {
         assert!(size > 0, "GuestRam: size must be positive");
         GuestRam {
             size,
-            pages: PageMap::default(),
+            pages: PageTable::default(),
         }
     }
 
@@ -121,7 +132,7 @@ impl GuestRam {
 
     /// Number of 4 KiB pages actually allocated so far.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.resident
     }
 
     /// Checks that `[addr, addr + len)` lies inside the memory — the
@@ -132,6 +143,7 @@ impl GuestRam {
     ///
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the
     /// memory size or overflows the address space.
+    #[inline]
     pub fn check_range(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
         let end = addr.value().checked_add(len);
         match end {
@@ -152,22 +164,21 @@ impl GuestRam {
     /// size; no bytes are read in that case.
     pub fn read(&self, addr: GuestAddr, buf: &mut [u8]) -> Result<(), MemError> {
         self.check_range(addr, buf.len() as u64)?;
-        let mut offset = addr.value();
+        self.read_checked(addr.value(), buf);
+        Ok(())
+    }
+
+    /// [`read`](Self::read) of a range already bounds-checked.
+    fn read_checked(&self, mut offset: u64, buf: &mut [u8]) {
         let mut filled = 0usize;
         while filled < buf.len() {
-            let page = offset >> PAGE_SHIFT;
             let in_page = (offset & (PAGE_SIZE - 1)) as usize;
             let take = (buf.len() - filled).min(PAGE_SIZE as usize - in_page);
-            match self.pages.get(&page) {
-                Some(data) => {
-                    buf[filled..filled + take].copy_from_slice(&data[in_page..in_page + take])
-                }
-                None => buf[filled..filled + take].fill(0),
-            }
+            let page = self.pages.get(offset >> PAGE_SHIFT).unwrap_or(&ZERO_PAGE);
+            buf[filled..filled + take].copy_from_slice(&page[in_page..in_page + take]);
             filled += take;
             offset += take as u64;
         }
-        Ok(())
     }
 
     /// Writes `data` starting at `addr`.
@@ -178,21 +189,21 @@ impl GuestRam {
     /// size; no bytes are written in that case.
     pub fn write(&mut self, addr: GuestAddr, data: &[u8]) -> Result<(), MemError> {
         self.check_range(addr, data.len() as u64)?;
-        let mut offset = addr.value();
+        self.write_checked(addr.value(), data);
+        Ok(())
+    }
+
+    /// [`write`](Self::write) of a range already bounds-checked.
+    fn write_checked(&mut self, mut offset: u64, data: &[u8]) {
         let mut written = 0usize;
         while written < data.len() {
-            let page = offset >> PAGE_SHIFT;
             let in_page = (offset & (PAGE_SIZE - 1)) as usize;
             let take = (data.len() - written).min(PAGE_SIZE as usize - in_page);
-            let page_data = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page_data[in_page..in_page + take].copy_from_slice(&data[written..written + take]);
+            let page = self.pages.get_mut(offset >> PAGE_SHIFT);
+            page[in_page..in_page + take].copy_from_slice(&data[written..written + take]);
             written += take;
             offset += take as u64;
         }
-        Ok(())
     }
 
     /// Copies `len` bytes from `src` at `src_addr` into this memory at
@@ -225,15 +236,11 @@ impl GuestRam {
             let take = remaining
                 .min(PAGE_SIZE - src_off as u64)
                 .min(PAGE_SIZE - dst_off as u64) as usize;
-            let bytes = match src.pages.get(&(from >> PAGE_SHIFT)) {
+            let bytes = match src.pages.get(from >> PAGE_SHIFT) {
                 Some(page) => &page[src_off..src_off + take],
                 None => &ZERO_PAGE[..take],
             };
-            let page = self
-                .pages
-                .entry(to >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page[dst_off..dst_off + take].copy_from_slice(bytes);
+            self.pages.get_mut(to >> PAGE_SHIFT)[dst_off..dst_off + take].copy_from_slice(bytes);
             from += take as u64;
             to += take as u64;
             remaining -= take as u64;
@@ -261,15 +268,52 @@ impl GuestRam {
     /// size.
     pub fn fill(&mut self, addr: GuestAddr, len: u64, byte: u8) -> Result<(), MemError> {
         self.check_range(addr, len)?;
-        // Writing through the page map keeps the sparse representation.
+        // Writing through the page table keeps the sparse representation.
         let chunk = [byte; 256];
         let mut remaining = len;
-        let mut at = addr;
+        let mut at = addr.value();
         while remaining > 0 {
             let take = remaining.min(chunk.len() as u64);
-            self.write(at, &chunk[..take as usize])?;
-            at = at + take;
+            self.write_checked(at, &chunk[..take as usize]);
+            at += take;
             remaining -= take;
+        }
+        Ok(())
+    }
+
+    /// Reads `N` bytes at `addr`: one page lookup and a fixed-size copy
+    /// when the range lies inside one page, the general path when it
+    /// straddles two.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: GuestAddr) -> Result<[u8; N], MemError> {
+        self.check_range(addr, N as u64)?;
+        let mut out = [0u8; N];
+        let in_page = (addr.value() & (PAGE_SIZE - 1)) as usize;
+        if in_page + N <= PAGE_SIZE as usize {
+            if let Some(page) = self.pages.get(addr.value() >> PAGE_SHIFT) {
+                out.copy_from_slice(&page[in_page..in_page + N]);
+            }
+        } else {
+            self.read_checked(addr.value(), &mut out);
+        }
+        Ok(out)
+    }
+
+    /// Writes `bytes` at `addr`, with [`read_array`](Self::read_array)'s
+    /// single-page fast path.
+    #[inline]
+    fn write_array<const N: usize>(
+        &mut self,
+        addr: GuestAddr,
+        bytes: [u8; N],
+    ) -> Result<(), MemError> {
+        self.check_range(addr, N as u64)?;
+        let in_page = (addr.value() & (PAGE_SIZE - 1)) as usize;
+        if in_page + N <= PAGE_SIZE as usize {
+            self.pages.get_mut(addr.value() >> PAGE_SHIFT)[in_page..in_page + N]
+                .copy_from_slice(&bytes);
+        } else {
+            self.write_checked(addr.value(), &bytes);
         }
         Ok(())
     }
@@ -284,10 +328,9 @@ macro_rules! int_access {
             ///
             /// Returns [`MemError::OutOfBounds`] if the access exceeds the
             /// memory size.
+            #[inline]
             pub fn $read(&self, addr: GuestAddr) -> Result<$ty, MemError> {
-                let mut buf = [0u8; std::mem::size_of::<$ty>()];
-                self.read(addr, &mut buf)?;
-                Ok(<$ty>::from_le_bytes(buf))
+                self.read_array(addr).map(<$ty>::from_le_bytes)
             }
 
             /// Writes a little-endian integer at `addr`.
@@ -296,8 +339,9 @@ macro_rules! int_access {
             ///
             /// Returns [`MemError::OutOfBounds`] if the access exceeds the
             /// memory size.
+            #[inline]
             pub fn $write(&mut self, addr: GuestAddr, value: $ty) -> Result<(), MemError> {
-                self.write(addr, &value.to_le_bytes())
+                self.write_array(addr, value.to_le_bytes())
             }
         }
     };
@@ -381,8 +425,13 @@ mod tests {
     #[test]
     fn sparse_allocation_only_touched_pages() {
         let mut ram = GuestRam::new(64 << 30); // 64 GiB — cheap to create
-        ram.write_u8(GuestAddr::new(63 << 30), 1).unwrap();
+        let far = GuestAddr::new(63 << 30);
+        assert_eq!(ram.read_u64(far).unwrap(), 0);
+        assert!(ram.pages.dir.is_empty(), "a read allocates nothing");
+        ram.write_u8(far, 1).unwrap();
         assert_eq!(ram.resident_pages(), 1);
+        // The directory reaches the written granule and no further.
+        assert_eq!(ram.pages.dir.len(), (63 << 30 >> 21) + 1);
     }
 
     #[test]
@@ -447,25 +496,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MemError::OutOfBounds { size: 128, .. }));
         assert_eq!(dst.resident_pages(), 0);
-    }
-
-    #[test]
-    fn page_hasher_spreads_strided_pages() {
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        let build = BuildHasherDefault::<PageHasher>::default();
-        for stride in [1u64, 16, 256] {
-            let pages: Vec<u64> = (0..128).map(|i| 0x400 + i * stride).collect();
-            // Bucket index (low bits) and tag byte (top 7 bits) both
-            // spread like a random function's (~81 of 128 values); an
-            // unrotated product's low bits would collapse to
-            // 128 / stride of them.
-            let low: std::collections::HashSet<u64> =
-                pages.iter().map(|&p| build.hash_one(p) & 127).collect();
-            let tags: std::collections::HashSet<u64> =
-                pages.iter().map(|&p| build.hash_one(p) >> 57).collect();
-            assert!(low.len() > 48, "stride {stride}: {} buckets", low.len());
-            assert!(tags.len() > 48, "stride {stride}: {} tags", tags.len());
-        }
     }
 
     #[test]

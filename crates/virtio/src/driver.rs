@@ -14,11 +14,21 @@
 //! able to corrupt the driver's allocator.
 
 use crate::queue::{
-    QueueLayout, VirtioError, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT, DESC_F_NEXT, DESC_F_WRITE,
-    USED_F_NO_NOTIFY,
+    Descriptor, QueueLayout, VirtioError, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT, DESC_F_NEXT,
+    DESC_F_WRITE, USED_F_NO_NOTIFY,
 };
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_telemetry as telemetry;
+
+/// The descriptor-table entry for `seg`.
+fn descriptor(seg: SgSegment, flags: u16, next: u16) -> Descriptor {
+    Descriptor {
+        addr: seg.addr.value(),
+        len: seg.len,
+        flags,
+        next,
+    }
+}
 
 /// Driver-side state of one split virtqueue.
 #[derive(Debug, Clone)]
@@ -86,11 +96,7 @@ impl VirtqueueDriver {
         next: u16,
     ) -> Result<(), VirtioError> {
         let at = self.layout.desc + u64::from(index) * 16;
-        ram.write_u64(at, seg.addr.value())?;
-        ram.write_u32(at + 8, seg.len)?;
-        ram.write_u16(at + 12, flags)?;
-        ram.write_u16(at + 14, next)?;
-        Ok(())
+        descriptor(seg, flags, next).write(ram, at)
     }
 
     /// Posts a buffer chain: `readable` segments (device reads) followed
@@ -173,6 +179,8 @@ impl VirtqueueDriver {
     ) -> Result<u16, VirtioError> {
         let total = readable.len() + writable.len();
         assert!(total > 0, "add_buf_indirect: empty chain");
+        // The whole table must fit before any entry is written.
+        ram.check_range(table_addr, (total * 16) as u64)?;
         let Some(head) = self.free.pop() else {
             return Err(VirtioError::ChainTooLong);
         };
@@ -188,11 +196,7 @@ impl VirtqueueDriver {
             } else {
                 0
             };
-            let at = table_addr + (pos as u64) * 16;
-            ram.write_u64(at, seg.addr.value())?;
-            ram.write_u32(at + 8, seg.len)?;
-            ram.write_u16(at + 12, flags)?;
-            ram.write_u16(at + 14, next)?;
+            descriptor(seg, flags, next).write(ram, table_addr + (pos as u64) * 16)?;
         }
         if let Err(e) = self.write_desc(
             ram,
@@ -469,6 +473,22 @@ mod tests {
             .unwrap();
         // 4 segments but only 1 queue descriptor consumed.
         assert_eq!(driver.num_free(), 3);
+    }
+
+    #[test]
+    fn indirect_table_past_ram_writes_nothing() {
+        let (mut ram, mut driver, _) = setup(4);
+        let resident = ram.resident_pages();
+        // The first entry fits; the second ends past the 1 MiB RAM.
+        let table = GuestAddr::new((1 << 20) - 24);
+        let seg = SgSegment::new(GuestAddr::new(0x5000), 4);
+        let err = driver
+            .add_buf_indirect(&mut ram, table, &[seg, seg], &[])
+            .unwrap_err();
+        assert!(matches!(err, VirtioError::Mem(_)), "{err:?}");
+        assert_eq!(ram.read_vec(table, 24).unwrap(), vec![0; 24]);
+        assert_eq!(ram.resident_pages(), resident);
+        assert_eq!((driver.num_free(), driver.avail_idx()), (4, 0));
     }
 
     #[test]

@@ -187,22 +187,41 @@ impl QueueLayout {
     }
 }
 
-/// One descriptor, as read from the table.
+/// One 16-byte descriptor-table entry (virtio 1.1 §2.6.5): `addr`
+/// (le64), `len` (le32), `flags` (le16), `next` (le16). The device side
+/// decodes it and the driver side encodes it through the same two
+/// helpers, each one 16-byte access to guest RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Descriptor {
-    addr: u64,
-    len: u32,
-    flags: u16,
-    next: u16,
+pub(crate) struct Descriptor {
+    pub(crate) addr: u64,
+    pub(crate) len: u32,
+    pub(crate) flags: u16,
+    pub(crate) next: u16,
 }
 
-fn read_descriptor(ram: &GuestRam, at: GuestAddr) -> Result<Descriptor, VirtioError> {
-    Ok(Descriptor {
-        addr: ram.read_u64(at)?,
-        len: ram.read_u32(at + 8)?,
-        flags: ram.read_u16(at + 12)?,
-        next: ram.read_u16(at + 14)?,
-    })
+impl Descriptor {
+    /// Reads the descriptor at `at`.
+    pub(crate) fn read(ram: &GuestRam, at: GuestAddr) -> Result<Self, VirtioError> {
+        let mut raw = [0u8; DESC_ENTRY as usize];
+        ram.read(at, &mut raw)?;
+        Ok(Descriptor {
+            addr: u64::from_le_bytes(raw[0..8].try_into().expect("sliced")),
+            len: u32::from_le_bytes(raw[8..12].try_into().expect("sliced")),
+            flags: u16::from_le_bytes([raw[12], raw[13]]),
+            next: u16::from_le_bytes([raw[14], raw[15]]),
+        })
+    }
+
+    /// Writes the descriptor at `at`; nothing is written if the entry
+    /// does not fit in guest RAM.
+    pub(crate) fn write(&self, ram: &mut GuestRam, at: GuestAddr) -> Result<(), VirtioError> {
+        let mut raw = [0u8; DESC_ENTRY as usize];
+        raw[0..8].copy_from_slice(&self.addr.to_le_bytes());
+        raw[8..12].copy_from_slice(&self.len.to_le_bytes());
+        raw[12..14].copy_from_slice(&self.flags.to_le_bytes());
+        raw[14..16].copy_from_slice(&self.next.to_le_bytes());
+        Ok(ram.write(at, &raw)?)
+    }
 }
 
 /// A popped descriptor chain: the head index to return through the used
@@ -304,7 +323,7 @@ impl Virtqueue {
                 return Err(VirtioError::ChainTooLong);
             }
             hops += 1;
-            let desc = read_descriptor(ram, self.layout.desc_addr(index))?;
+            let desc = Descriptor::read(ram, self.layout.desc_addr(index))?;
             if desc.flags & DESC_F_INDIRECT != 0 {
                 if desc.flags & DESC_F_NEXT != 0 {
                     return Err(VirtioError::BadIndirect("INDIRECT combined with NEXT"));
@@ -360,7 +379,7 @@ impl Virtqueue {
                 return Err(VirtioError::BadIndirect("chain loops inside table"));
             }
             hops += 1;
-            let desc = read_descriptor(ram, base + u64::from(index) * DESC_ENTRY)?;
+            let desc = Descriptor::read(ram, base + u64::from(index) * DESC_ENTRY)?;
             if desc.flags & DESC_F_INDIRECT != 0 {
                 return Err(VirtioError::BadIndirect("nested indirect descriptor"));
             }
@@ -505,6 +524,37 @@ mod tests {
         let driver = VirtqueueDriver::new(&mut ram, layout).unwrap();
         let device = Virtqueue::new(layout);
         (ram, driver, device)
+    }
+
+    #[test]
+    fn descriptor_codec_matches_the_spec_layout() {
+        let mut ram = GuestRam::new(0x2000);
+        let desc = Descriptor {
+            addr: 0x0102_0304_0506_0708,
+            len: 0x1122_3344,
+            flags: DESC_F_NEXT | DESC_F_WRITE,
+            next: 0xbeef,
+        };
+        // 0xff8 straddles the first page boundary.
+        for at in [0x100, 0xff8].map(GuestAddr::new) {
+            desc.write(&mut ram, at).unwrap();
+            assert_eq!(ram.read_u64(at).unwrap(), desc.addr);
+            assert_eq!(ram.read_u32(at + 8).unwrap(), desc.len);
+            assert_eq!(ram.read_u16(at + 12).unwrap(), desc.flags);
+            assert_eq!(ram.read_u16(at + 14).unwrap(), desc.next);
+            assert_eq!(Descriptor::read(&ram, at).unwrap(), desc);
+        }
+        // An entry ending past RAM is neither written nor read in part.
+        let end = GuestAddr::new(0x2000 - 8);
+        assert!(matches!(
+            desc.write(&mut ram, end),
+            Err(VirtioError::Mem(_))
+        ));
+        assert_eq!(ram.read_vec(end, 8).unwrap(), vec![0; 8]);
+        assert!(matches!(
+            Descriptor::read(&ram, end),
+            Err(VirtioError::Mem(_))
+        ));
     }
 
     #[test]

@@ -249,8 +249,6 @@ fn member<'a>(j: &'a mut Json, path: &[String]) -> &'a mut Json {
 
 #[test]
 fn fuzzed_manifests_are_rejected_without_panicking() {
-    // Seeds are left out of the numeric fields: they are only compared
-    // across shards, never used to size or index anything.
     const NUMBERS: [f64; 7] = [0.0, 1.0, 4_294_967_296.0, u64::MAX as f64, 1e20, -1.0, 1.5];
     const N: usize = 3;
     let spec = reduced_matrix();
@@ -286,9 +284,7 @@ fn fuzzed_manifests_are_rejected_without_panicking() {
                 0 => {
                     let numeric: Vec<&Vec<String>> = paths
                         .iter()
-                        .filter(|p| {
-                            p[0] != "seeds" && matches!(member(&mut fuzzed, p), Json::Num(_))
-                        })
+                        .filter(|p| matches!(member(&mut fuzzed, p), Json::Num(_)))
                         .collect();
                     let path = rng.choose(&numeric);
                     *member(&mut fuzzed, path) = Json::Num(*rng.choose(&NUMBERS));
